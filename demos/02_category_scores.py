@@ -46,7 +46,7 @@ for j, schema in enumerate(dataset.schemas):
         score = lead_table.score(Literal(j, c), 1)
         print(f"  {schema.name}={category:<6} {score:+.3f}")
 
-# rho_bar is each label's best single-literal score, the seed for the
-# miner's pruning bound.
-print(f"\nbest per-label scores (full space): "
-      f"{np.round(table.rho_bar, 3).tolist()}")
+# Each label's best single-literal score is the seed for the miner's
+# pruning bound.
+best = np.nanmax(np.where(table.defined[:, None], table.scores, np.nan), axis=0)
+print(f"\nbest per-label scores (full space): {np.round(best, 3).tolist()}")

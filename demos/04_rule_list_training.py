@@ -42,7 +42,7 @@ print(f"acceptance rate: {diagnostics.acceptance_rate:.3f}")
 
 # The point estimate is the highest-posterior sampled state; its clause
 # probabilities come from smoothed capture counts.
-print("\n" + render_rule_list(rule_list, dataset))
+print("\n" + render_rule_list(rule_list, dataset.schemas, dataset.label_names))
 
 # Saved models stand alone: literals are stored by name, so the file can
 # be applied to any CSV with matching column names.

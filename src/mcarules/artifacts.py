@@ -12,6 +12,8 @@ bytes.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -19,8 +21,8 @@ from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
 
-from .brl import BrlConfig, RuleList, TrainDiagnostics
-from .dataset import AttributeSchema, CategoricalDataset, DatasetError, Literal
+from .brl import BrlConfig, RuleList, TrainDiagnostics, render_rule_list
+from .dataset import AttributeSchema, CategoricalDataset, DatasetError, FeatureTable, Literal
 from .miner import MiningResult, Rule, ScoredRule
 
 FORMAT_VERSION = 1
@@ -33,7 +35,7 @@ __all__ = [
     "write_model",
     "read_model",
     "write_csv",
-    "csv_lines",
+    "csv_text",
     "atomic_write_text",
 ]
 
@@ -108,24 +110,27 @@ def _literal_records(rule: Rule, dataset: CategoricalDataset) -> list[dict]:
     return out
 
 
-def _bind_rule(records, dataset: CategoricalDataset, path) -> Rule:
+def _bind_rule(records, schemas, index: dict, path) -> Rule:
+    """A rule from name-bound literal records, coded against ``schemas``.
+
+    ``index`` maps each schema's attribute name to its position.
+    """
     literals = []
     for rec in records:
         name = rec["attribute"]
         category = rec["category"]
-        try:
-            attr = dataset.attribute_index(name)
-        except DatasetError:
-            raise ArtifactError(
-                f"{path}: rule references unknown attribute {name!r}"
-            ) from None
-        categories = dataset.schemas[attr].categories
+        if name not in index:
+            raise ArtifactError(f"{path}: rule references unknown attribute {name!r}")
+        categories = schemas[index[name]].categories
         if category not in categories:
             raise ArtifactError(
                 f"{path}: attribute {name!r} has no category {category!r}"
             )
-        literals.append(Literal(attr, categories.index(category)))
-    return Rule.of(literals)
+        literals.append(Literal(index[name], categories.index(category)))
+    try:
+        return Rule.of(literals)
+    except ValueError as exc:
+        raise ArtifactError(f"{path}: bad rule: {exc}") from None
 
 
 def write_rules(
@@ -171,10 +176,11 @@ def read_rules(path, dataset: CategoricalDataset) -> MiningResult:
             f"{path}: label names {stored_labels} do not match the dataset's "
             f"{list(dataset.label_names)}"
         )
+    index = {s.name: j for j, s in enumerate(dataset.schemas)}
     scored = []
     for rec in _require(payload, "rules", path):
         try:
-            rule = _bind_rule(rec["literals"], dataset, path)
+            rule = _bind_rule(rec["literals"], dataset.schemas, index, path)
             label = stored_labels.index(rec["label"])
             scored.append(
                 ScoredRule(
@@ -199,14 +205,16 @@ def read_rules(path, dataset: CategoricalDataset) -> MiningResult:
 
 @dataclass(frozen=True, eq=False)
 class ModelArtifact:
-    """A fitted rule list in name-bound form, ready to apply to new data."""
+    """A fitted rule list in name-bound form, ready to apply to new data.
+
+    ``rule_list``'s literals are coded against ``attributes``, the schemas
+    of the training data; prediction rebinds them by name to each table.
+    """
 
     label_name: str
     label_names: tuple[str, ...]
     attributes: tuple[AttributeSchema, ...]
-    rules: tuple[tuple[tuple[str, str], ...], ...]
-    capture_counts: np.ndarray
-    alpha: np.ndarray
+    rule_list: RuleList
     diagnostics: dict
     brl_config: dict
 
@@ -214,66 +222,40 @@ class ModelArtifact:
     def n_labels(self) -> int:
         return len(self.label_names)
 
-    def clause_probabilities(self) -> np.ndarray:
-        smoothed = self.capture_counts + self.alpha[None, :]
-        return smoothed / smoothed.sum(axis=1, keepdims=True)
+    def _rule_mask(self, rule: Rule, table: FeatureTable) -> np.ndarray:
+        mask = np.ones(table.n, dtype=bool)
+        for lit in rule.literals:
+            schema = self.attributes[lit.attribute]
+            try:
+                attr = table.attribute_index(schema.name)
+            except DatasetError:
+                raise ArtifactError(
+                    f"model references unknown attribute {schema.name!r}"
+                ) from None
+            categories = table.schemas[attr].categories
+            category = schema.categories[lit.category]
+            if category in categories:
+                mask &= table.X[:, attr] == categories.index(category)
+            else:
+                mask[:] = False
+        return mask
 
-    def describe_rule(self, index: int) -> str:
-        return " and ".join(
-            f"{attr} is {cat}" for attr, cat in self.rules[index]
-        )
-
-    def predict_proba(self, dataset: CategoricalDataset) -> np.ndarray:
-        """First-match clause probabilities for every row of ``dataset``.
+    def predict_proba(self, table: FeatureTable) -> np.ndarray:
+        """First-match clause probabilities for every row of ``table``.
 
         Literals are matched by attribute and category name; a category the
-        dataset never exhibits matches no rows. Unknown attributes are an
+        table never exhibits matches no rows. Unknown attributes are an
         error since silently skipping a literal would change the rule.
         """
-        probs = self.clause_probabilities()
-        out = np.empty((dataset.n, self.n_labels), dtype=np.float64)
-        remaining = np.ones(dataset.n, dtype=bool)
-        for j, literals in enumerate(self.rules):
-            mask = np.ones(dataset.n, dtype=bool)
-            for attr_name, category in literals:
-                try:
-                    attr = dataset.attribute_index(attr_name)
-                except DatasetError:
-                    raise ArtifactError(
-                        f"model references unknown attribute {attr_name!r}"
-                    ) from None
-                categories = dataset.schemas[attr].categories
-                if category in categories:
-                    mask &= dataset.X[:, attr] == categories.index(category)
-                else:
-                    mask &= False
-            captured = remaining & mask
-            out[captured] = probs[j]
-            remaining &= ~captured
-        out[remaining] = probs[len(self.rules)]
-        return out
+        masks = [self._rule_mask(rule, table) for rule in self.rule_list.rules]
+        return self.rule_list.row_probabilities(masks, table.n)
 
-    def predict(self, dataset: CategoricalDataset) -> np.ndarray:
-        return np.argmax(self.predict_proba(dataset), axis=1)
+    def predict(self, table: FeatureTable) -> np.ndarray:
+        return np.argmax(self.predict_proba(table), axis=1)
 
     def render(self) -> str:
         """The fitted list as if / else-if / else text."""
-        probs = self.clause_probabilities()
-        lines = []
-        for j, literals in enumerate(self.rules):
-            head = "if" if j == 0 else "else if"
-            k = int(np.argmax(probs[j]))
-            lines.append(
-                f"{head} {self.describe_rule(j)} "
-                f"then {self.label_names[k]} (P = {probs[j, k]:.2f})"
-            )
-        k = int(np.argmax(probs[len(self.rules)]))
-        default = f"{self.label_names[k]} (P = {probs[len(self.rules), k]:.2f})"
-        if self.rules:
-            lines.append(f"else {default}")
-        else:
-            lines.append(f"always {default}")
-        return "\n".join(lines)
+        return render_rule_list(self.rule_list, self.attributes, self.label_names)
 
 
 def write_model(
@@ -304,53 +286,48 @@ def read_model(path) -> ModelArtifact:
         raise ArtifactError(f"{path}: not a model file")
     label_names = tuple(_require(payload, "label_names", path))
     attributes = _schemas_from_records(_require(payload, "attributes", path), path)
+    index = {s.name: j for j, s in enumerate(attributes)}
     rules = []
     for rule_records in _require(payload, "rules", path):
         try:
-            rules.append(
-                tuple((rec["attribute"], rec["category"]) for rec in rule_records)
-            )
+            rules.append(_bind_rule(rule_records, attributes, index, path))
         except (KeyError, TypeError) as exc:
             raise ArtifactError(f"{path}: bad rule record: {exc}") from None
-    counts = np.asarray(_require(payload, "capture_counts", path), dtype=np.int64)
-    alpha = np.asarray(_require(payload, "alpha", path), dtype=np.float64)
-    if counts.ndim != 2 or counts.shape != (len(rules) + 1, len(label_names)):
-        raise ArtifactError(f"{path}: capture_counts shape does not match rules")
-    if alpha.shape != (len(label_names),) or np.any(alpha <= 0):
-        raise ArtifactError(f"{path}: alpha must be positive per label")
-    known = {s.name for s in attributes}
-    for rule_literals in rules:
-        for attr_name, _ in rule_literals:
-            if attr_name not in known:
-                raise ArtifactError(
-                    f"{path}: rule references unknown attribute {attr_name!r}"
-                )
+    try:
+        rule_list = RuleList(
+            rules=tuple(rules),
+            capture_counts=_require(payload, "capture_counts", path),
+            alpha=_require(payload, "alpha", path),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path}: bad capture_counts or alpha: {exc}") from None
+    if rule_list.alpha.size != len(label_names):
+        raise ArtifactError(
+            f"{path}: capture_counts and alpha need one column per label"
+        )
     return ModelArtifact(
         label_name=str(payload.get("label_name", "label")),
         label_names=label_names,
         attributes=attributes,
-        rules=tuple(rules),
-        capture_counts=counts,
-        alpha=alpha,
+        rule_list=rule_list,
         diagnostics=dict(_require(payload, "diagnostics", path)),
         brl_config=dict(_require(payload, "brl_config", path)),
     )
 
 
-def csv_lines(header, rows) -> list[str]:
-    """Comma-separated lines; floats rendered with ``repr`` so equal values
-    are equal bytes."""
-    def cell(value) -> str:
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
+def csv_text(header, rows) -> str:
+    """A comma-separated table, each cell quoted only where it needs it.
 
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell(v) for v in row))
-    return lines
+    Floats are written with ``str``, the shortest text that reads back as
+    the same value, so equal values are equal bytes.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def write_csv(path, header, rows) -> None:
     """Write one comma-separated table atomically."""
-    atomic_write_text(path, "\n".join(csv_lines(header, rows)) + "\n")
+    atomic_write_text(path, csv_text(header, rows))

@@ -38,7 +38,7 @@ class RuleList:
         alpha = np.asarray(self.alpha, dtype=np.float64)
         object.__setattr__(self, "capture_counts", counts)
         object.__setattr__(self, "alpha", alpha)
-        if counts.shape != (len(self.rules) + 1, alpha.size):
+        if alpha.ndim != 1 or counts.shape != (len(self.rules) + 1, alpha.size):
             raise ValueError("capture counts must be (rules + 1) x labels")
         if counts.min() < 0:
             raise ValueError("capture counts must be nonnegative")
@@ -54,6 +54,31 @@ class RuleList:
         """Per-clause posterior label distributions, rows summing to 1."""
         smoothed = self.capture_counts + self.alpha[None, :]
         return smoothed / smoothed.sum(axis=1, keepdims=True)
+
+    def row_probabilities(self, masks, n: int) -> np.ndarray:
+        """Label distribution per row, given each rule's row mask in list order."""
+        probs = self.clause_probabilities()
+        out = np.empty((n, probs.shape[1]))
+        for j, hit in enumerate(first_match(masks, n)):
+            out[hit] = probs[j]
+        return out
+
+
+def first_match(masks, n: int) -> list[np.ndarray]:
+    """Rows each clause captures when the first matching clause wins.
+
+    ``masks`` holds one boolean row mask per rule, in list order. The result
+    holds one captured mask per rule, then the default clause's mask; the
+    captured masks are disjoint and cover all ``n`` rows.
+    """
+    remaining = np.ones(n, dtype=bool)
+    captured = []
+    for mask in masks:
+        hit = mask & remaining
+        captured.append(hit)
+        remaining &= ~hit
+    captured.append(remaining)
+    return captured
 
 
 @dataclass(frozen=True)
@@ -127,19 +152,6 @@ class TrainDiagnostics:
         return self.rhat_history[-1] if self.rhat_history else None
 
 
-def capture_counts(rules, dataset: CategoricalDataset) -> np.ndarray:
-    """Label counts captured per clause, first match wins; last row is the default."""
-    rules = tuple(rules.rules) if isinstance(rules, RuleList) else tuple(rules)
-    counts = np.zeros((len(rules) + 1, dataset.n_labels), dtype=np.int64)
-    remaining = np.ones(dataset.n, dtype=bool)
-    for j, rule in enumerate(rules):
-        hit = rule_mask(rule, dataset.X) & remaining
-        counts[j] = np.bincount(dataset.Y[hit], minlength=dataset.n_labels)
-        remaining &= ~hit
-    counts[-1] = np.bincount(dataset.Y[remaining], minlength=dataset.n_labels)
-    return counts
-
-
 class Evaluator:
     """Precomputed matchers and prior tables for one (dataset, mined rules) pair."""
 
@@ -179,14 +191,11 @@ class Evaluator:
         )
 
     def capture(self, indices) -> np.ndarray:
-        counts = np.zeros((len(indices) + 1, self.n_labels), dtype=np.int64)
-        remaining = np.ones(self.n, dtype=bool)
-        for j, idx in enumerate(indices):
-            hit = self.masks[idx] & remaining
-            counts[j] = np.bincount(self.Y[hit], minlength=self.n_labels)
-            remaining &= ~hit
-        counts[-1] = np.bincount(self.Y[remaining], minlength=self.n_labels)
-        return counts
+        """Label counts captured per clause of the state; last row is the default."""
+        captured = first_match([self.masks[i] for i in indices], self.n)
+        return np.array(
+            [np.bincount(self.Y[hit], minlength=self.n_labels) for hit in captured]
+        )
 
     def log_likelihood(self, counts: np.ndarray) -> float:
         smoothed = counts + self.alpha[None, :]
@@ -198,16 +207,16 @@ class Evaluator:
         if m > self.max_len:
             return -math.inf
         total = self._log_len_prior[m]
-        remaining = dict(self._card_totals)
+        in_stock = dict(self._card_totals)
         for idx in indices:
             card = int(self.cards[idx])
             # Cardinality normalizer runs over cardinalities still in stock.
             z = _logsumexp_list(
-                [self._log_card_weight[c] for c, left in remaining.items() if left > 0]
+                [self._log_card_weight[c] for c, left in in_stock.items() if left > 0]
             )
             total += self._log_card_weight[card] - z
-            total -= math.log(remaining[card])
-            remaining[card] -= 1
+            total -= math.log(in_stock[card])
+            in_stock[card] -= 1
         return float(total)
 
     def log_posterior(self, indices) -> float:
@@ -467,9 +476,7 @@ def train(dataset, mined_rules, config: BrlConfig, n_workers: int | None = None)
     _, state, best_chain, best_iteration = best
     rules = tuple(evaluator.rules[i] for i in state)
     fitted = RuleList(
-        rules=rules,
-        capture_counts=capture_counts(rules, dataset),
-        alpha=evaluator.alpha,
+        rules=rules, capture_counts=evaluator.capture(state), alpha=evaluator.alpha
     )
     diagnostics = TrainDiagnostics(
         converged=converged,
@@ -484,28 +491,11 @@ def train(dataset, mined_rules, config: BrlConfig, n_workers: int | None = None)
     return fitted, diagnostics
 
 
-def predict_proba(rule_list: RuleList, sample) -> np.ndarray:
-    """Label distribution from the first clause matching the sample."""
-    sample = np.asarray(sample)
-    probs = rule_list.clause_probabilities()
-    for j, rule in enumerate(rule_list.rules):
-        if all(sample[lit.attribute] == lit.category for lit in rule.literals):
-            return probs[j]
-    return probs[-1]
-
-
 def predict_proba_batch(rule_list: RuleList, X: np.ndarray) -> np.ndarray:
-    """Row-wise ``predict_proba`` over a matrix of category indices."""
+    """First-match clause probabilities for every row of a category-index matrix."""
     X = np.asarray(X)
-    probs = rule_list.clause_probabilities()
-    out = np.empty((X.shape[0], probs.shape[1]))
-    remaining = np.ones(X.shape[0], dtype=bool)
-    for j, rule in enumerate(rule_list.rules):
-        hit = rule_mask(rule, X) & remaining
-        out[hit] = probs[j]
-        remaining &= ~hit
-    out[remaining] = probs[-1]
-    return out
+    masks = [rule_mask(rule, X) for rule in rule_list.rules]
+    return rule_list.row_probabilities(masks, X.shape[0])
 
 
 def predict(rule_list: RuleList, X: np.ndarray) -> np.ndarray:
@@ -513,18 +503,22 @@ def predict(rule_list: RuleList, X: np.ndarray) -> np.ndarray:
     return np.argmax(predict_proba_batch(rule_list, X), axis=1)
 
 
-def render_rule_list(rule_list: RuleList, dataset: CategoricalDataset) -> str:
-    """If/else-if/else text with each clause's top label and its probability."""
+def render_rule_list(rule_list: RuleList, schemas, label_names) -> str:
+    """If/else-if/else text with each clause's top label and its probability.
+
+    ``schemas`` are the attribute schemas the rules' literals are coded
+    against; ``label_names`` name the label columns of the counts.
+    """
     probs = rule_list.clause_probabilities()
     lines = []
     for j, rule in enumerate(rule_list.rules):
         label = int(np.argmax(probs[j]))
         keyword = "if" if j == 0 else "else if"
         lines.append(
-            f"{keyword} {rule.describe(dataset)} "
-            f"then {dataset.label_names[label]} (P = {probs[j, label]:.2f})"
+            f"{keyword} {rule.describe(schemas)} "
+            f"then {label_names[label]} (P = {probs[j, label]:.2f})"
         )
     label = int(np.argmax(probs[-1]))
     keyword = "else" if rule_list.rules else "always"
-    lines.append(f"{keyword} {dataset.label_names[label]} (P = {probs[-1, label]:.2f})")
+    lines.append(f"{keyword} {label_names[label]} (P = {probs[-1, label]:.2f})")
     return "\n".join(lines)

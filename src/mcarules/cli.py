@@ -29,7 +29,7 @@ from .apriori import AprioriConfig, apriori_mine
 from .artifacts import (
     ArtifactError,
     atomic_write_text,
-    csv_lines,
+    csv_text,
     read_model,
     read_rules,
     write_csv,
@@ -78,62 +78,45 @@ def _cfg_bool(value: str) -> bool:
     raise UsageError(f"expected a boolean, got {value!r}")
 
 
-def _cfg_algo(value: str) -> str:
-    if value not in ("mca", "apriori"):
-        raise UsageError(f"algo must be 'mca' or 'apriori', got {value!r}")
-    return value
-
-
 def _cfg_bins(value: str) -> list[str]:
     return [part.strip() for part in value.split(",") if part.strip()]
 
 
-def _cfg_int(value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"expected an integer, got {value!r}") from None
+def _cfg_number(kind):
+    """A converter to ``int`` or ``float`` that reports a bad value as a usage error."""
+    noun = "an integer" if kind is int else "a number"
+
+    def convert(value: str):
+        try:
+            return kind(value)
+        except ValueError:
+            raise UsageError(f"expected {noun}, got {value!r}") from None
+
+    return convert
 
 
-def _cfg_float(value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise UsageError(f"expected a number, got {value!r}") from None
+def _cfg_choice(key: str, choices):
+    def convert(value: str) -> str:
+        if value not in choices:
+            shown = " or ".join(repr(c) for c in choices)
+            raise UsageError(f"{key} must be {shown}, got {value!r}")
+        return value
+
+    return convert
 
 
-# Converters used when a value arrives from a config file as a string.
-_CONVERTERS = {
-    "label": str,
-    "bins": _cfg_bins,
-    "missing_as_category": _cfg_bool,
-    "algo": _cfg_algo,
-    "r_max": _cfg_int,
-    "s_min": _cfg_float,
-    "mu_min": _cfg_float,
-    "top": _cfg_int,
-    "components": _cfg_int,
-    "unsigned": _cfg_bool,
-    "time_budget": _cfg_float,
-    "threads": _cfg_int,
-    "out": str,
-    "rules": str,
-    "chains": _cfg_int,
-    "lambda_": _cfg_float,
-    "eta": _cfg_float,
-    "alpha": _cfg_float,
-    "max_iters": _cfg_int,
-    "check_interval": _cfg_int,
-    "rhat": _cfg_float,
-    "max_len": _cfg_int,
-    "seed": _cfg_int,
-    "grid": str,
-    "n": _cfg_int,
-    "categories": _cfg_int,
-    "reps": _cfg_int,
-    "signal_fraction": _cfg_float,
-    "signal_strength": _cfg_float,
-}
+def _cfg_converter(action: argparse.Action):
+    """How a config-file string becomes the value the flag itself would give."""
+    if isinstance(action, argparse._StoreTrueAction):
+        return _cfg_bool
+    if isinstance(action, argparse._AppendAction):
+        return _cfg_bins
+    if action.choices:
+        return _cfg_choice(action.dest, action.choices)
+    if action.type in (int, float):
+        return _cfg_number(action.type)
+    return str
+
 
 _MINER_DEFAULTS = {
     "r_max": 2,
@@ -303,18 +286,18 @@ def build_parser():
     bench_p.add_argument("--out", help="output CSV (default bench.csv)")
     bench_p.add_argument("--config", help="key=value config file; flags win")
 
-    allowed = {
+    converters = {
         name: {
-            action.dest
+            action.dest: _cfg_converter(action)
             for action in sub._actions
             if action.option_strings and action.dest not in ("help", "config")
         }
         for name, sub in subparsers.choices.items()
     }
-    return parser, allowed
+    return parser, converters
 
 
-def _merge_config_file(args, allowed: set) -> None:
+def _merge_config_file(args, converters: dict) -> None:
     if getattr(args, "config", None) is None:
         return
     try:
@@ -334,12 +317,12 @@ def _merge_config_file(args, allowed: set) -> None:
         key = key.replace("-", "_")
         if key == "lambda":
             key = "lambda_"
-        if key not in allowed:
+        if key not in converters:
             raise UsageError(
                 f"{args.config}:{lineno}: unknown key {key!r} for this subcommand"
             )
         if getattr(args, key) is None:
-            setattr(args, key, _CONVERTERS[key](value))
+            setattr(args, key, converters[key](value))
 
 
 def _fill_defaults(args, defaults: dict) -> None:
@@ -354,7 +337,7 @@ def _parse_bins(entries) -> dict[str, int]:
         name, sep, count = entry.rpartition(":")
         if not sep or not name:
             raise UsageError(f"--bins expects COL:N, got {entry!r}")
-        value = _cfg_int(count)
+        value = _cfg_number(int)(count)
         if value not in (2, 3):
             raise UsageError(f"--bins {entry!r}: bin count must be 2 or 3")
         if name in bins:
@@ -459,7 +442,7 @@ def cmd_train(args) -> int:
         )
     rule_list, diagnostics = train(dataset, rules, brl_config, n_workers=args.threads)
     write_model(args.out, rule_list, diagnostics, dataset, brl_config)
-    print(render_rule_list(rule_list, dataset))
+    print(render_rule_list(rule_list, dataset.schemas, dataset.label_names))
     rhat = diagnostics.rhat
     if brl_config.n_chains < 2:
         print(f"single chain: ran {diagnostics.iterations} iterations -> {args.out}")
@@ -500,8 +483,7 @@ def cmd_predict(args) -> int:
         write_csv(args.out, header, rows)
         print(f"wrote {len(rows)} predictions -> {args.out}")
     else:
-        for line in csv_lines(header, rows):
-            print(line)
+        sys.stdout.write(csv_text(header, rows))
     return EXIT_OK
 
 
@@ -621,7 +603,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser, allowed = build_parser()
+    parser, converters = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -631,7 +613,7 @@ def main(argv=None) -> int:
         print("error: a subcommand is required", file=sys.stderr)
         return EXIT_USAGE
     try:
-        _merge_config_file(args, allowed[args.subcommand])
+        _merge_config_file(args, converters[args.subcommand])
         defaults = _DEFAULTS[args.subcommand]
         args.explicit_keys = {
             key for key in defaults if getattr(args, key, None) is not None

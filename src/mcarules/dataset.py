@@ -12,6 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,48 +56,36 @@ class Literal:
 
 
 @dataclass(frozen=True, eq=False)
-class CategoricalDataset:
-    """n samples x p categorical attributes plus one label column.
+class FeatureTable:
+    """n rows x p categorical attribute columns, without a label.
 
-    ``X[i, j]`` is the category index of sample ``i`` for attribute ``j``;
-    ``Y[i]`` indexes into ``label_names``. Immutable after construction and
+    ``X[i, j]`` is the category index of row ``i`` for attribute ``j``. This
+    is the input for prediction on unlabeled data; a labelled
+    :class:`CategoricalDataset` is one too. Immutable after construction and
     safe to share read-only across threads.
     """
 
     schemas: tuple[AttributeSchema, ...]
     X: np.ndarray
-    Y: np.ndarray
-    label_names: tuple[str, ...]
-    label_name: str = "label"
     _attr_index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _noun: ClassVar[str] = "table"
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.int64)
-        Y = np.asarray(self.Y, dtype=np.int64)
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Y", Y)
         if X.ndim != 2:
             raise DatasetError("X must be a 2-d matrix of category indices")
         if len(self.schemas) != X.shape[1]:
             raise DatasetError("schema count does not match X columns")
         if X.shape[1] < 1:
-            raise DatasetError("dataset has no attributes")
+            raise DatasetError(f"{self._noun} has no attributes")
         if X.shape[0] < 1:
-            raise DatasetError("dataset has no rows")
-        if Y.shape != (X.shape[0],):
-            raise DatasetError("Y length does not match X rows")
-        if len(self.label_names) < 2:
-            raise DatasetError("need at least 2 label classes")
-        if len(set(self.label_names)) != len(self.label_names):
-            raise DatasetError("duplicate label names")
+            raise DatasetError(f"{self._noun} has no rows")
         for j, schema in enumerate(self.schemas):
             col = X[:, j]
             if col.min() < 0 or col.max() >= schema.n_categories:
                 raise DatasetError(f"X column {j} ({schema.name!r}) has out-of-range category index")
-        if Y.min() < 0 or Y.max() >= len(self.label_names):
-            raise DatasetError("Y has out-of-range label index")
         X.setflags(write=False)
-        Y.setflags(write=False)
         self._attr_index.update({s.name: j for j, s in enumerate(self.schemas)})
 
     @property
@@ -107,15 +96,44 @@ class CategoricalDataset:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def n_labels(self) -> int:
-        return len(self.label_names)
-
     def attribute_index(self, name: str) -> int:
         try:
             return self._attr_index[name]
         except KeyError:
             raise DatasetError(f"unknown attribute {name!r}") from None
+
+
+@dataclass(frozen=True, eq=False)
+class CategoricalDataset(FeatureTable):
+    """n samples x p categorical attributes plus one label column.
+
+    ``X[i, j]`` is the category index of sample ``i`` for attribute ``j``;
+    ``Y[i]`` indexes into ``label_names``. Immutable after construction and
+    safe to share read-only across threads.
+    """
+
+    Y: np.ndarray
+    label_names: tuple[str, ...]
+    label_name: str = "label"
+    _noun: ClassVar[str] = "dataset"
+
+    def __post_init__(self):
+        super().__post_init__()
+        Y = np.asarray(self.Y, dtype=np.int64)
+        object.__setattr__(self, "Y", Y)
+        if Y.shape != (self.n,):
+            raise DatasetError("Y length does not match X rows")
+        if len(self.label_names) < 2:
+            raise DatasetError("need at least 2 label classes")
+        if len(set(self.label_names)) != len(self.label_names):
+            raise DatasetError("duplicate label names")
+        if Y.min() < 0 or Y.max() >= len(self.label_names):
+            raise DatasetError("Y has out-of-range label index")
+        Y.setflags(write=False)
+
+    @property
+    def n_labels(self) -> int:
+        return len(self.label_names)
 
     def label_counts(self) -> np.ndarray:
         return np.bincount(self.Y, minlength=self.n_labels)
@@ -139,52 +157,6 @@ class CategoricalDataset:
                 writer.writerow(row)
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureTable:
-    """Attribute columns without a label, for prediction on unlabeled data.
-
-    Mirrors the attribute side of :class:`CategoricalDataset` (same schemas,
-    same code matrix, same name lookup) so model application code can accept
-    either.
-    """
-
-    schemas: tuple[AttributeSchema, ...]
-    X: np.ndarray
-    _attr_index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.int64)
-        object.__setattr__(self, "X", X)
-        if X.ndim != 2:
-            raise DatasetError("X must be a 2-d matrix of category indices")
-        if len(self.schemas) != X.shape[1]:
-            raise DatasetError("schema count does not match X columns")
-        if X.shape[1] < 1:
-            raise DatasetError("table has no attributes")
-        if X.shape[0] < 1:
-            raise DatasetError("table has no rows")
-        for j, schema in enumerate(self.schemas):
-            col = X[:, j]
-            if col.min() < 0 or col.max() >= schema.n_categories:
-                raise DatasetError(f"X column {j} ({schema.name!r}) has out-of-range category index")
-        X.setflags(write=False)
-        self._attr_index.update({s.name: j for j, s in enumerate(self.schemas)})
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
-    def attribute_index(self, name: str) -> int:
-        try:
-            return self._attr_index[name]
-        except KeyError:
-            raise DatasetError(f"unknown attribute {name!r}") from None
-
-
 def quantize_numeric(values, bins: int) -> np.ndarray:
     """Equal-frequency binning of ``values`` into ``bins`` categories.
 
@@ -194,6 +166,11 @@ def quantize_numeric(values, bins: int) -> np.ndarray:
     to a quantile goes to the lower bin. Returns one category index
     (0..bins-1) per input, in input order. Values must be finite.
     """
+    return _quantize(values, bins)[0]
+
+
+def _quantize(values, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bin codes of :func:`quantize_numeric` together with the interior edges."""
     if bins not in (2, 3):
         raise DatasetError(f"bins must be 2 or 3, got {bins}")
     values = np.asarray(values, dtype=np.float64)
@@ -207,7 +184,7 @@ def quantize_numeric(values, bins: int) -> np.ndarray:
             f"got {np.unique(values).size}"
         )
     edges = quantile_edges(values, bins)
-    return np.searchsorted(edges, values, side="left").astype(np.int64)
+    return np.searchsorted(edges, values, side="left").astype(np.int64), edges
 
 
 def quantile_edges(values, bins: int) -> np.ndarray:
@@ -363,10 +340,7 @@ def _encode_columns(path, header, cells, positions, numeric_bins):
     for pos in positions:
         name = header[pos]
         raw = [cells[i][pos] for i in range(len(cells))]
-        if name in numeric_bins:
-            schema, codes = _quantized_column(name, raw, numeric_bins[name], path)
-        else:
-            schema, codes = _categorical_column(name, raw)
+        schema, codes = encode_column(name, raw, numeric_bins.get(name), path)
         schemas.append(schema)
         columns.append(codes)
     return tuple(schemas), np.column_stack(columns)
@@ -382,14 +356,20 @@ def _first_occurrence_codes(raw: list[str]) -> tuple[tuple[str, ...], np.ndarray
     return tuple(order), codes
 
 
-def _categorical_column(name, raw):
-    values, codes = _first_occurrence_codes(raw)
-    if len(values) < 2:
-        raise DatasetError(f"attribute {name!r} has a single observed value")
-    return AttributeSchema(name=name, categories=values, kind=KIND_CATEGORICAL), codes
+def encode_column(name: str, raw, bins: int | None = None, path=None):
+    """One column of cell strings as an attribute schema plus category codes.
 
-
-def _quantized_column(name, raw, bins, path):
+    Without ``bins`` each distinct cell is a category. With ``bins`` the
+    cells are parsed as reals and binned as by :func:`quantize_numeric`, each
+    bin labelled by its interval. Either way the categories are the occupied
+    values in first-occurrence order. ``path`` only names the source in
+    error messages.
+    """
+    if bins is None:
+        cats, codes = _first_occurrence_codes(raw)
+        if len(cats) < 2:
+            raise DatasetError(f"attribute {name!r} has a single observed value")
+        return AttributeSchema(name=name, categories=cats, kind=KIND_CATEGORICAL), codes
     values = np.empty(len(raw), dtype=np.float64)
     for i, cell in enumerate(raw):
         try:
@@ -398,11 +378,9 @@ def _quantized_column(name, raw, bins, path):
             raise DatasetError(
                 f"{path}: column {name!r} declared numeric but row {i + 2} holds {cell!r}"
             ) from None
-    bin_codes = quantize_numeric(values, bins)
-    labels = _bin_labels(quantile_edges(values, bins))
-    # Occupied bins only, relabelled in first-occurrence order like any column.
-    raw_labels = [labels[b] for b in bin_codes]
-    cats, codes = _first_occurrence_codes(raw_labels)
+    bin_codes, edges = _quantize(values, bins)
+    labels = _bin_labels(edges)
+    cats, codes = _first_occurrence_codes([labels[b] for b in bin_codes])
     if len(cats) < 2:
         raise DatasetError(f"quantizing column {name!r} produced a single occupied bin")
     return AttributeSchema(name=name, categories=cats, kind=KIND_QUANTIZED), codes

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import (
-    AttributeSchema,
-    CategoricalDataset,
-    DatasetError,
-    _categorical_column,
-    _quantized_column,
-)
+from .dataset import AttributeSchema, CategoricalDataset, DatasetError, encode_column
 
 __all__ = ["titanic_dataset", "load_heart_csv", "HEART_COLUMNS"]
 
@@ -96,10 +90,8 @@ def load_heart_csv(path, bins: int = 3) -> CategoricalDataset:
     columns = []
     for j, name in enumerate(HEART_COLUMNS):
         raw = [row[j].strip() for row in table]
-        if name in _HEART_CONTINUOUS:
-            schema, codes = _quantized_column(name, raw, bins, path)
-        else:
-            schema, codes = _categorical_column(name, raw)
+        column_bins = bins if name in _HEART_CONTINUOUS else None
+        schema, codes = encode_column(name, raw, column_bins, path)
         schemas.append(schema)
         columns.append(codes)
     y = np.array(

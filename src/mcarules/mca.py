@@ -249,18 +249,16 @@ def literal_label_score(model: McaModel, literal: Literal, label: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
-    """All literal-label cosines of a fitted model, plus the per-label maxima.
+    """All literal-label cosines of a fitted model.
 
     ``scores[flat_literal, k]`` is NaN when the literal's coordinates are
     degenerate (category absent or zero-norm, e.g. a category covering every
-    row); such literals are skipped by the miner. ``rho_bar[k]`` is the
-    largest defined score for label ``k``.
+    row); such literals are skipped by the miner.
     """
 
     scores: np.ndarray
     defined: np.ndarray
     offsets: np.ndarray
-    rho_bar: np.ndarray
     n_labels: int
 
     def flat_index(self, literal: Literal) -> int:
@@ -301,16 +299,6 @@ def score_table(model: McaModel, dataset: CategoricalDataset) -> ScoreTable:
             cos = np.dot(coords[i], coords[row]) / (norms[i] * norms[row])
             scores[flat, k] = np.clip(cos, -1.0, 1.0)
 
-    rho_bar = np.full(dataset.n_labels, np.nan)
-    for k in range(dataset.n_labels):
-        col = scores[defined, k]
-        col = col[~np.isnan(col)]
-        if col.size:
-            rho_bar[k] = col.max()
     return ScoreTable(
-        scores=scores,
-        defined=defined,
-        offsets=offsets,
-        rho_bar=rho_bar,
-        n_labels=dataset.n_labels,
+        scores=scores, defined=defined, offsets=offsets, n_labels=dataset.n_labels
     )

@@ -50,8 +50,13 @@ class Rule:
     def extended(self, literal: Literal) -> "Rule":
         return Rule.of(self.literals + (literal,))
 
-    def describe(self, dataset: CategoricalDataset) -> str:
-        return " and ".join(dataset.describe_literal(lit) for lit in self.literals)
+    def describe(self, schemas) -> str:
+        """The conjunction as text, naming attributes and categories from ``schemas``."""
+        return " and ".join(
+            f"{schemas[lit.attribute].name} is "
+            f"{schemas[lit.attribute].categories[lit.category]}"
+            for lit in self.literals
+        )
 
 
 @dataclass(frozen=True)

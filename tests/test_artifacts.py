@@ -14,7 +14,14 @@ from mcarules.artifacts import (
     write_model,
     write_rules,
 )
-from mcarules.brl import BrlConfig, RuleList, TrainDiagnostics, predict_proba_batch
+from mcarules.brl import (
+    BrlConfig,
+    Evaluator,
+    RuleList,
+    TrainDiagnostics,
+    predict_proba_batch,
+    render_rule_list,
+)
 from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
 from mcarules.miner import MinerConfig, MiningResult, Rule, ScoredRule
 
@@ -45,11 +52,9 @@ def small_mining_result():
 
 def small_model(dataset):
     rules = (Rule.of([Literal(0, 0)]), Rule.of([Literal(1, 2)]))
-    from mcarules.brl import capture_counts
-
     rule_list = RuleList(
         rules=rules,
-        capture_counts=capture_counts(rules, dataset),
+        capture_counts=Evaluator(dataset, rules, BrlConfig()).capture((0, 1)),
         alpha=np.array([1.0, 1.0]),
     )
     diagnostics = TrainDiagnostics(
@@ -158,7 +163,7 @@ class TestModelRoundTrip:
         write_model(path, rule_list, diagnostics, ds, BrlConfig())
         artifact = read_model(path)
         assert artifact.label_names == ("no", "yes")
-        assert np.array_equal(artifact.capture_counts, rule_list.capture_counts)
+        assert np.array_equal(artifact.rule_list.capture_counts, rule_list.capture_counts)
         got = artifact.predict_proba(ds)
         want = predict_proba_batch(rule_list, ds.X)
         assert np.array_equal(got, want)
@@ -186,6 +191,22 @@ class TestModelRoundTrip:
         assert lines[2].startswith("else ")
         assert "P = " in lines[0]
 
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_render_equals_training_render(self, tmp_path, empty):
+        ds = small_dataset()
+        rule_list, diagnostics = small_model(ds)
+        if empty:
+            rule_list = RuleList(
+                rules=(),
+                capture_counts=[ds.label_counts()],
+                alpha=rule_list.alpha,
+            )
+        path = tmp_path / "model.json"
+        write_model(path, rule_list, diagnostics, ds, BrlConfig())
+        trained = render_rule_list(rule_list, ds.schemas, ds.label_names)
+        assert read_model(path).render() == trained
+        assert trained.startswith("always " if empty else "if ")
+
     def test_unseen_category_matches_nothing(self, tmp_path):
         ds = small_dataset()
         rule_list, diagnostics = small_model(ds)
@@ -203,7 +224,7 @@ class TestModelRoundTrip:
             label_names=("no", "yes"),
         )
         probs = artifact.predict_proba(other)
-        expected = artifact.clause_probabilities()
+        expected = artifact.rule_list.clause_probabilities()
         assert np.array_equal(probs[0], expected[1])  # size is l
         assert np.array_equal(probs[1], expected[2])  # default clause
 
@@ -231,6 +252,17 @@ class TestModelRoundTrip:
         payload["capture_counts"] = [[1, 2]]
         path.write_text(json.dumps(payload))
         with pytest.raises(ArtifactError, match="capture_counts"):
+            read_model(path)
+
+    def test_rule_category_absent_from_attributes_rejected(self, tmp_path):
+        ds = small_dataset()
+        rule_list, diagnostics = small_model(ds)
+        path = tmp_path / "model.json"
+        write_model(path, rule_list, diagnostics, ds, BrlConfig())
+        payload = json.loads(path.read_text())
+        payload["rules"][1][0]["category"] = "xl"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArtifactError, match="has no category 'xl'"):
             read_model(path)
 
     def test_wrong_kind_rejected(self, tmp_path):

@@ -1,28 +1,32 @@
 """Tests for the rule-list posterior, proposals, chains, and diagnostics."""
 
 import math
+import tempfile
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcarules.artifacts import read_model, write_model
 from mcarules.brl import (
     BrlConfig,
     Evaluator,
     RuleList,
-    capture_counts,
+    TrainDiagnostics,
     gelman_rubin,
     log_posterior,
     predict,
-    predict_proba,
     predict_proba_batch,
     propose,
     render_rule_list,
     run_chain,
     train,
 )
-from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
+from mcarules.dataset import AttributeSchema, CategoricalDataset, FeatureTable, Literal
 from mcarules.miner import Rule
 
 
@@ -42,6 +46,24 @@ def dataset_from_matrix(X, Y, n_labels=2, sizes=None):
         Y=np.asarray(Y),
         label_names=tuple(f"l{v}" for v in range(n_labels)),
     )
+
+
+def predict_proba(rule_list, sample):
+    """Per-row reference: the label distribution of the first clause matching ``sample``."""
+    sample = np.asarray(sample)
+    probs = rule_list.clause_probabilities()
+    for j, rule in enumerate(rule_list.rules):
+        if all(sample[lit.attribute] == lit.category for lit in rule.literals):
+            return probs[j]
+    return probs[-1]
+
+
+def fitted_counts(rules, dataset):
+    """Label counts per clause of ``rules``, default last, from ``Evaluator.capture``."""
+    rules = tuple(rules)
+    # The evaluator refuses an empty pool; the empty list still captures nothing.
+    pool = rules or (Rule.of([Literal(0, 0)]),)
+    return Evaluator(dataset, pool, BrlConfig()).capture(tuple(range(len(rules))))
 
 
 def informative_dataset(rng, n=60, p=3):
@@ -111,12 +133,12 @@ def analytic_proposal_prob(s, t, n_rules, cap):
 class TestCaptureCounts:
     def test_empty_list_is_global_counts(self):
         ds = dataset_from_matrix([[0], [1], [0], [1]], [0, 0, 1, 1])
-        counts = capture_counts([], ds)
+        counts = fitted_counts([], ds)
         np.testing.assert_array_equal(counts, [[2, 2]])
 
     def test_unmatched_rule_row_is_zero(self):
         ds = dataset_from_matrix([[0], [0], [0]], [0, 1, 0], sizes=[2])
-        counts = capture_counts([Rule.of([Literal(0, 1)])], ds)
+        counts = fitted_counts([Rule.of([Literal(0, 1)])], ds)
         np.testing.assert_array_equal(counts, [[0, 0], [2, 1]])
 
     def test_two_rule_list_matches_row_scan(self):
@@ -124,7 +146,7 @@ class TestCaptureCounts:
         Y = [0, 0, 1, 1, 1, 0]
         ds = dataset_from_matrix(X, Y)
         rules = [Rule.of([Literal(0, 0)]), Rule.of([Literal(1, 0)])]
-        counts = capture_counts(rules, ds)
+        counts = fitted_counts(rules, ds)
         expected = np.zeros((3, 2), dtype=int)
         for i in range(ds.n):
             if ds.X[i, 0] == 0:
@@ -359,6 +381,72 @@ class TestGelmanRubin:
             gelman_rubin([np.ones(3), np.ones(3)])
 
 
+@st.composite
+def coded_rule_lists(draw):
+    """A random dataset, unlabeled rows over the same schemas, and a rule list."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    n_labels = draw(st.integers(2, 3))
+
+    def matrix():
+        row = st.tuples(*(st.integers(0, s - 1) for s in sizes))
+        return np.array(draw(st.lists(row, min_size=1, max_size=30)))
+
+    X = matrix()
+    Y = np.array(draw(st.lists(st.integers(0, n_labels - 1), min_size=len(X), max_size=len(X))))
+    ds = dataset_from_matrix(X, Y, n_labels=n_labels, sizes=sizes)
+    literal = st.integers(0, len(sizes) - 1).flatmap(
+        lambda a: st.builds(Literal, st.just(a), st.integers(0, sizes[a] - 1))
+    )
+    rule = st.lists(
+        literal, min_size=1, max_size=len(sizes), unique_by=lambda lit: lit.attribute
+    ).map(Rule.of)
+    rules = draw(st.lists(rule, max_size=5, unique=True))
+    alpha = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 2.5]),
+                                   min_size=n_labels, max_size=n_labels)))
+    return ds, FeatureTable(schemas=ds.schemas, X=matrix()), tuple(rules), alpha
+
+
+class TestFirstMatchAgreement:
+    @settings(max_examples=60, deadline=None)
+    @given(coded_rule_lists())
+    def test_batch_artifact_and_row_oracle_agree(self, case):
+        ds, table, rules, alpha = case
+        counts = fitted_counts(rules, ds)
+        recount = np.zeros((len(rules) + 1, ds.n_labels), dtype=np.int64)
+        for x, y in zip(ds.X, ds.Y):
+            clause = next(
+                (j for j, rule in enumerate(rules)
+                 if all(x[lit.attribute] == lit.category for lit in rule.literals)),
+                len(rules),
+            )
+            recount[clause, y] += 1
+        np.testing.assert_array_equal(counts, recount)
+
+        rule_list = RuleList(rules=rules, capture_counts=counts, alpha=alpha)
+        diagnostics = TrainDiagnostics(
+            converged=True, rhat_history=(), iterations=1, acceptance_rate=0.0,
+            n_chains=1, best_chain=0, best_iteration=1, best_log_posterior=0.0,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            write_model(path, rule_list, diagnostics, ds, BrlConfig())
+            artifact = read_model(path)
+        # The same rows with columns and each column's categories in reverse
+        # order: the artifact binds by name, so its predictions must not move.
+        shuffled = FeatureTable(
+            schemas=tuple(
+                AttributeSchema(name=s.name, categories=s.categories[::-1])
+                for s in table.schemas[::-1]
+            ),
+            X=(np.array([s.n_categories - 1 for s in table.schemas]) - table.X)[:, ::-1],
+        )
+        for X, rows in ((ds.X, ds), (table.X, table), (table.X, shuffled)):
+            batch = predict_proba_batch(rule_list, X)
+            oracle = np.array([predict_proba(rule_list, x) for x in X])
+            np.testing.assert_array_equal(batch, oracle)
+            np.testing.assert_array_equal(artifact.predict_proba(rows), oracle)
+
+
 class TestTrain:
     def test_single_rule_two_state_enumeration(self):
         X = np.array([[0]] * 10 + [[1]] * 10)
@@ -468,10 +556,10 @@ class TestRender:
         )
         rl = RuleList(
             rules=rules,
-            capture_counts=capture_counts(rules, ds),
+            capture_counts=fitted_counts(rules, ds),
             alpha=np.array([1.0, 1.0]),
         )
-        text = render_rule_list(rl, ds)
+        text = render_rule_list(rl, ds.schemas, ds.label_names)
         lines = text.splitlines()
         assert lines[0].startswith("if a0 is c0 then ")
         assert lines[1].startswith("else if a0 is c1 and a1 is c0 then ")
@@ -482,8 +570,8 @@ class TestRender:
         ds = dataset_from_matrix([[0], [1]], [0, 1])
         rl = RuleList(
             rules=(),
-            capture_counts=capture_counts((), ds),
+            capture_counts=fitted_counts((), ds),
             alpha=np.array([1.0, 1.0]),
         )
-        text = render_rule_list(rl, ds)
+        text = render_rule_list(rl, ds.schemas, ds.label_names)
         assert text.startswith("always ")

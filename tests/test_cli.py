@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline: exit codes and artifacts."""
 
+import csv
 import json
 
 import pytest
@@ -159,6 +160,40 @@ class TestConfigFile:
         payload = json.loads(open(out).read())
         assert payload["brl_config"]["lambda_"] == 5.0
         assert payload["brl_config"]["n_chains"] == 1
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("top = ten", "expected an integer, got 'ten'"),
+            ("s-min = lots", "expected a number, got 'lots'"),
+            ("unsigned = maybe", "expected a boolean, got 'maybe'"),
+            ("algo = fp", "algo must be 'mca' or 'apriori', got 'fp'"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, workspace, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code = main(
+            ["mine", workspace["toy"], "--label", "label", "--config", str(cfg)]
+        )
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_bins_entry_splits_on_commas(self, tmp_path, capsys):
+        data = tmp_path / "numeric.csv"
+        lines = ["x,y,label"]
+        for i in range(1, 41):
+            lines.append(f"{i * 0.5},{i % 7},{'hi' if i > 20 else 'lo'}")
+        data.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "mine.cfg"
+        cfg.write_text("bins = x:2, y:3\n")
+        out = str(tmp_path / "rules.json")
+        code = main([
+            "mine", str(data), "--label", "label", "--config", str(cfg), "--out", out,
+        ])
+        assert code == 0
+        kinds = [a["kind"] for a in json.loads(open(out).read())["attributes"]]
+        assert kinds == ["quantized-numeric", "quantized-numeric"]
 
 
 class TestMine:
@@ -344,6 +379,46 @@ class TestEvaluate:
         code = main(["evaluate", workspace["rules"], workspace["toy"]])
         assert code == 2
         assert "not a model file" in capsys.readouterr().err
+
+
+class TestCsvQuoting:
+    def test_label_with_comma_round_trips(self, tmp_path, capsys):
+        data = tmp_path / "patients.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["color", "size", "status"])
+            for _ in range(10):
+                writer.writerows([
+                    ["red", "big", "sick, severe"], ["red", "big", "sick, severe"],
+                    ["blue", "small", "well"], ["blue", "small", "well"],
+                ])
+        model = str(tmp_path / "model.json")
+        assert main([
+            "train", str(data), "--label", "status", "--chains", "1",
+            "--max-iters", "400", "--check-interval", "200", "--threads", "1",
+            "--out", model,
+        ]) == 0
+        predictions = tmp_path / "predictions.csv"
+        assert main(["predict", model, str(data), "--out", str(predictions)]) == 0
+        capsys.readouterr()
+        assert main(["predict", model, str(data)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == predictions.read_text()
+        rows = list(csv.reader(printed.splitlines()))
+        assert rows[0] == ["prediction", "p_sick, severe", "p_well"]
+        assert len(rows) == 41
+        assert {row[0] for row in rows[1:]} == {"sick, severe", "well"}
+        assert all(len(row) == 3 for row in rows)
+
+        metrics = tmp_path / "metrics.csv"
+        assert main(["evaluate", model, str(data), "--out", str(metrics)]) == 0
+        with open(metrics, newline="") as fh:
+            records = list(csv.reader(fh))
+        assert all(len(row) == 2 for row in records)
+        values = dict(records[1:])
+        assert values["accuracy"] == "1.0"
+        assert values["confusion_sick, severe_sick, severe"] == "20"
+        assert values["confusion_well_well"] == "20"
 
 
 class TestRender:

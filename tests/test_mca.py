@@ -317,14 +317,6 @@ class TestScoreTable:
                         literal_label_score(model, lit, k), abs=1e-12
                     )
 
-    def test_rho_bar_is_max_defined_score(self):
-        rng = np.random.default_rng(13)
-        ds = random_dataset(rng, n=30, sizes=[2, 3])
-        table = score_table(fit(build_indicator(ds)), ds)
-        for k in range(ds.n_labels):
-            col = table.scores[table.defined, k]
-            assert table.rho_bar[k] == pytest.approx(np.max(col), abs=1e-12)
-
     def test_full_coverage_category_is_undefined(self):
         # A category present in every row carries no information; its
         # residual column is exactly zero and its score must be undefined.

@@ -26,12 +26,10 @@ def make_table(score_rows, defined=None):
     scores = np.asarray(score_rows, dtype=np.float64)
     n = scores.shape[0]
     defined = np.ones(n, dtype=bool) if defined is None else np.asarray(defined, dtype=bool)
-    rho_bar = np.nanmax(np.where(defined[:, None], scores, np.nan), axis=0)
     return ScoreTable(
         scores=scores,
         defined=defined,
         offsets=np.arange(n, dtype=np.int64),
-        rho_bar=rho_bar,
         n_labels=scores.shape[1],
     )
 
