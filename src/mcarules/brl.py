@@ -59,24 +59,26 @@ class RuleList:
         """Label distribution per row, given each rule's row mask in list order."""
         probs = self.clause_probabilities()
         out = np.empty((n, probs.shape[1]))
-        for j, hit in enumerate(first_match(masks, n)):
+        for j, hit in enumerate(first_match(masks, np.ones(n, dtype=bool))):
             out[hit] = probs[j]
         return out
 
 
-def first_match(masks, n: int) -> list[np.ndarray]:
+def first_match(masks, remaining: np.ndarray) -> list[np.ndarray]:
     """Rows each clause captures when the first matching clause wins.
 
-    ``masks`` holds one boolean row mask per rule, in list order. The result
-    holds one captured mask per rule, then the default clause's mask; the
-    captured masks are disjoint and cover all ``n`` rows.
+    ``remaining`` marks the rows to assign, and each entry of ``masks`` marks
+    one rule's rows in the same form, in list order: either boolean row
+    masks, or the packed ``uint64`` words of :class:`Evaluator`. The result
+    holds one captured entry per rule, then the default clause's; they are
+    disjoint and together cover ``remaining``, which is left unchanged.
     """
-    remaining = np.ones(n, dtype=bool)
+    remaining = remaining.copy()
     captured = []
     for mask in masks:
         hit = mask & remaining
         captured.append(hit)
-        remaining &= ~hit
+        remaining ^= hit
     captured.append(remaining)
     return captured
 
@@ -153,7 +155,14 @@ class TrainDiagnostics:
 
 
 class Evaluator:
-    """Precomputed matchers and prior tables for one (dataset, mined rules) pair."""
+    """Precomputed matchers and prior tables for one (dataset, mined rules) pair.
+
+    Rows are split by label and bit-packed: label k's training rows, in row
+    order, fill ``uint64`` words little-end first, and every label is padded
+    with zero bits to the same word count. ``packed[i, k]`` holds the label-k
+    rows rule i matches and ``label_rows[k]`` every label-k row, so a
+    clause's label counts are popcounts of its captured words.
+    """
 
     def __init__(self, dataset: CategoricalDataset, mined_rules, config: BrlConfig):
         self.rules = tuple(mined_rules)
@@ -162,11 +171,21 @@ class Evaluator:
         if len(set(self.rules)) != len(self.rules):
             raise ValueError("mined rules contain duplicates")
         self.config = config
-        self.n = dataset.n
-        self.n_labels = dataset.n_labels
-        self.Y = dataset.Y
         self.alpha = config.resolve_alpha(dataset.n_labels)
-        self.masks = np.stack([rule_mask(r, dataset.X) for r in self.rules])
+        n = dataset.n
+        rows = [np.flatnonzero(dataset.Y == k) for k in range(dataset.n_labels)]
+        words = max(-(-r.size // 64) for r in rows)
+        # Row n is an appended False, the bit every padding slot reads.
+        slots = np.full((dataset.n_labels, 64 * words), n)
+        for k, r in enumerate(rows):
+            slots[k, :r.size] = r
+
+        def pack(mask):
+            bits = np.append(mask, False)[slots]
+            return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+        self.packed = np.stack([pack(rule_mask(r, dataset.X)) for r in self.rules])
+        self.label_rows = pack(np.ones(n, dtype=bool))
         self.cards = np.array([len(r) for r in self.rules])
         self.n_rules = len(self.rules)
         self.max_len = self.n_rules
@@ -192,10 +211,8 @@ class Evaluator:
 
     def capture(self, indices) -> np.ndarray:
         """Label counts captured per clause of the state; last row is the default."""
-        captured = first_match([self.masks[i] for i in indices], self.n)
-        return np.array(
-            [np.bincount(self.Y[hit], minlength=self.n_labels) for hit in captured]
-        )
+        captured = first_match([self.packed[i] for i in indices], self.label_rows)
+        return np.bitwise_count(np.array(captured)).sum(axis=-1, dtype=np.int64)
 
     def log_likelihood(self, counts: np.ndarray) -> float:
         smoothed = counts + self.alpha[None, :]
@@ -313,7 +330,10 @@ class _ChainState:
 
 
 def _advance(evaluator: Evaluator, chain: _ChainState, n_iters: int):
-    """Run ``n_iters`` Metropolis-Hastings steps, returning the new snapshot."""
+    """Run ``n_iters`` Metropolis-Hastings steps, returning the new snapshot.
+
+    Thinned states come as ``(iteration, state, log_post)`` triples.
+    """
     rng = chain.rng
     state = chain.indices
     current_lp = chain.log_post
@@ -333,7 +353,7 @@ def _advance(evaluator: Evaluator, chain: _ChainState, n_iters: int):
             accepted += 1
         trace[step] = current_lp
         if iteration % THIN == 0:
-            states.append((iteration, state))
+            states.append((iteration, state, current_lp))
     snapshot = _ChainState(
         indices=state, log_post=current_lp, rng=rng,
         iteration=chain.iteration + n_iters,
@@ -358,7 +378,10 @@ def run_chain(dataset, mined_rules, config: BrlConfig, chain_seed: int) -> Chain
     chain = _fresh_chain(evaluator, chain_seed)
     _, trace, states, accepted = _advance(evaluator, chain, config.max_iters)
     return ChainTrace(
-        log_post=trace, states=tuple(states), accepted=accepted, chain_seed=chain_seed
+        log_post=trace,
+        states=tuple((iteration, state) for iteration, state, _ in states),
+        accepted=accepted,
+        chain_seed=chain_seed,
     )
 
 
@@ -458,10 +481,9 @@ def train(dataset, mined_rules, config: BrlConfig, n_workers: int | None = None)
     burn_in = iterations // 2
     best = None  # (log_post, -iteration, -chain) maximized
     for c in range(config.n_chains):
-        for iteration, state in samples[c]:
+        for iteration, state, lp in samples[c]:
             if iteration <= burn_in:
                 continue
-            lp = evaluator.log_posterior(state)
             key = (lp, -iteration, -c)
             if best is None or key > best[0]:
                 best = (key, state, c, iteration)

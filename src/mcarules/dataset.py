@@ -244,7 +244,7 @@ def load_csv(
     the empty string becomes an explicit category.
     """
     numeric_bins = dict(numeric_bins or {})
-    header, rows = _read_header_rows(path)
+    header, rows, lines = _read_header_rows(path)
     if label_column not in header:
         raise DatasetError(f"{path}: label column {label_column!r} not found")
     if label_column in numeric_bins:
@@ -257,10 +257,10 @@ def load_csv(
     if len(header) < 2:
         raise DatasetError(f"{path}: no attribute columns besides the label")
 
-    cells = _strip_cells(path, header, rows, missing_as_category)
+    cells = _strip_cells(path, header, rows, lines, missing_as_category)
     label_pos = header.index(label_column)
     attr_positions = [j for j in range(len(header)) if j != label_pos]
-    schemas, X = _encode_columns(path, header, cells, attr_positions, numeric_bins)
+    schemas, X = _encode_columns(path, header, cells, lines, attr_positions, numeric_bins)
 
     raw_labels = [cells[i][label_pos] for i in range(len(cells))]
     label_names, y = _first_occurrence_codes(raw_labels)
@@ -288,7 +288,7 @@ def load_feature_csv(
     is the ingestion path for prediction on unlabeled data.
     """
     numeric_bins = dict(numeric_bins or {})
-    header, rows = _read_header_rows(path)
+    header, rows, lines = _read_header_rows(path)
     ignore = set(ignore_columns)
     for col in numeric_bins:
         if col not in header:
@@ -299,28 +299,33 @@ def load_feature_csv(
     if not positions:
         raise DatasetError(f"{path}: no attribute columns")
 
-    cells = _strip_cells(path, header, rows, missing_as_category)
-    schemas, X = _encode_columns(path, header, cells, positions, numeric_bins)
+    cells = _strip_cells(path, header, rows, lines, missing_as_category)
+    schemas, X = _encode_columns(path, header, cells, lines, positions, numeric_bins)
     return FeatureTable(schemas=schemas, X=X)
 
 
 def _read_header_rows(path):
+    """Header, non-blank rows, and the file line number each row ends on."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DatasetError(f"{path}: file is empty") from None
-        rows = [row for row in reader if row]
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):
         raise DatasetError(f"{path}: duplicate column names in header")
-    return header, rows
+    return header, rows, lines
 
 
-def _strip_cells(path, header, rows, missing_as_category) -> list[list[str]]:
+def _strip_cells(path, header, rows, lines, missing_as_category) -> list[list[str]]:
     cells: list[list[str]] = []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in zip(lines, rows):
         if len(row) != len(header):
             raise DatasetError(f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}")
         row = [c.strip() for c in row]
@@ -334,13 +339,13 @@ def _strip_cells(path, header, rows, missing_as_category) -> list[list[str]]:
     return cells
 
 
-def _encode_columns(path, header, cells, positions, numeric_bins):
+def _encode_columns(path, header, cells, lines, positions, numeric_bins):
     schemas: list[AttributeSchema] = []
     columns: list[np.ndarray] = []
     for pos in positions:
         name = header[pos]
         raw = [cells[i][pos] for i in range(len(cells))]
-        schema, codes = encode_column(name, raw, numeric_bins.get(name), path)
+        schema, codes = encode_column(name, raw, numeric_bins.get(name), path, lines)
         schemas.append(schema)
         columns.append(codes)
     return tuple(schemas), np.column_stack(columns)
@@ -356,14 +361,15 @@ def _first_occurrence_codes(raw: list[str]) -> tuple[tuple[str, ...], np.ndarray
     return tuple(order), codes
 
 
-def encode_column(name: str, raw, bins: int | None = None, path=None):
+def encode_column(name: str, raw, bins: int | None = None, path=None, lines=None):
     """One column of cell strings as an attribute schema plus category codes.
 
     Without ``bins`` each distinct cell is a category. With ``bins`` the
     cells are parsed as reals and binned as by :func:`quantize_numeric`, each
     bin labelled by its interval. Either way the categories are the occupied
-    values in first-occurrence order. ``path`` only names the source in
-    error messages.
+    values in first-occurrence order. ``path`` and ``lines``, the file line
+    of each cell (default: its 1-based position in ``raw``), only locate a
+    bad cell in error messages.
     """
     if bins is None:
         cats, codes = _first_occurrence_codes(raw)
@@ -376,7 +382,8 @@ def encode_column(name: str, raw, bins: int | None = None, path=None):
             values[i] = float(cell)
         except ValueError:
             raise DatasetError(
-                f"{path}: column {name!r} declared numeric but row {i + 2} holds {cell!r}"
+                f"{path}: column {name!r} declared numeric but row "
+                f"{i + 1 if lines is None else lines[i]} holds {cell!r}"
             ) from None
     bin_codes, edges = _quantize(values, bins)
     labels = _bin_labels(edges)

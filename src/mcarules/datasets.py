@@ -78,12 +78,13 @@ _HEART_CONTINUOUS = frozenset(["age", "trestbps", "chol", "thalach", "oldpeak"])
 def load_heart_csv(path, bins: int = 3) -> CategoricalDataset:
     """Load a Cleveland-format heart-disease file into a dataset."""
     with open(path, newline="") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    table = [ln.split(",") for ln in lines]
-    for i, row in enumerate(table):
+        numbered = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    lines = [i for i, _ in numbered]
+    table = [ln.split(",") for _, ln in numbered]
+    for lineno, row in zip(lines, table):
         if len(row) != len(HEART_COLUMNS) + 1:
             raise DatasetError(
-                f"{path}: row {i + 1} has {len(row)} fields, expected "
+                f"{path}: row {lineno} has {len(row)} fields, expected "
                 f"{len(HEART_COLUMNS) + 1}"
             )
     schemas = []
@@ -91,7 +92,7 @@ def load_heart_csv(path, bins: int = 3) -> CategoricalDataset:
     for j, name in enumerate(HEART_COLUMNS):
         raw = [row[j].strip() for row in table]
         column_bins = bins if name in _HEART_CONTINUOUS else None
-        schema, codes = encode_column(name, raw, column_bins, path)
+        schema, codes = encode_column(name, raw, column_bins, path, lines)
         schemas.append(schema)
         columns.append(codes)
     y = np.array(

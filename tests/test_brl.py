@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcarules.artifacts import read_model, write_model
@@ -17,6 +17,7 @@ from mcarules.brl import (
     Evaluator,
     RuleList,
     TrainDiagnostics,
+    first_match,
     gelman_rubin,
     log_posterior,
     predict,
@@ -27,7 +28,7 @@ from mcarules.brl import (
     train,
 )
 from mcarules.dataset import AttributeSchema, CategoricalDataset, FeatureTable, Literal
-from mcarules.miner import Rule
+from mcarules.miner import Rule, rule_mask
 
 
 def dataset_from_matrix(X, Y, n_labels=2, sizes=None):
@@ -158,6 +159,73 @@ class TestCaptureCounts:
             expected[clause, ds.Y[i]] += 1
         np.testing.assert_array_equal(counts, expected)
         assert counts.sum() == ds.n
+
+
+def packing_case(n, seed, empty_label):
+    """Three attributes, three labels (``empty_label`` on no row), and rules
+    of one and two literals over them."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, [2, 3, 2], size=(n, 3))
+    labels = [k for k in range(3) if k != empty_label]
+    Y = rng.choice(labels, size=n)
+    ds = dataset_from_matrix(X, Y, n_labels=3, sizes=[2, 3, 2])
+    rules = all_single_literal_rules(ds) + [
+        Rule.of([Literal(0, a), Literal(1, b)]) for a in range(2) for b in range(3)
+    ]
+    return ds, rules
+
+
+def first_clause(rules, x):
+    """Index of the first rule matching row ``x``; ``len(rules)`` for the default."""
+    return next(
+        (j for j, rule in enumerate(rules)
+         if all(x[lit.attribute] == lit.category for lit in rule.literals)),
+        len(rules),
+    )
+
+
+class TestPackedCapture:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+        empty_label=st.sampled_from([None, 0, 1, 2]),
+        size=st.integers(0, 13),
+    )
+    @example(n=1, seed=0, empty_label=None, size=13)
+    @example(n=63, seed=1, empty_label=2, size=13)
+    @example(n=64, seed=2, empty_label=None, size=13)
+    @example(n=65, seed=3, empty_label=0, size=5)
+    @example(n=128, seed=4, empty_label=1, size=13)
+    @example(n=128, seed=5, empty_label=None, size=0)
+    def test_capture_matches_row_recount(self, n, seed, empty_label, size):
+        ds, rules = packing_case(n, seed, empty_label)
+        assert size <= len(rules) == 13
+        order = np.random.default_rng(seed).permutation(len(rules))
+        state = tuple(int(i) for i in order[:size])
+        counts = Evaluator(ds, rules, BrlConfig()).capture(state)
+        chosen = [rules[i] for i in state]
+        recount = np.zeros((size + 1, ds.n_labels), dtype=np.int64)
+        for x, y in zip(ds.X, ds.Y):
+            recount[first_clause(chosen, x), y] += 1
+        np.testing.assert_array_equal(counts, recount)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 200])
+    def test_boolean_and_packed_forms_capture_the_same_rows(self, n):
+        ds, rules = packing_case(n, seed=n, empty_label=1)
+        ev = Evaluator(ds, rules, BrlConfig())
+        state = np.random.default_rng(n).permutation(len(rules))[:8]
+        chosen = [rules[i] for i in state]
+        dense = first_match([rule_mask(r, ds.X) for r in chosen], np.ones(n, dtype=bool))
+        packed = first_match([ev.packed[i] for i in state], ev.label_rows)
+        clause_of = np.array([first_clause(chosen, x) for x in ds.X])
+        for j, (rows, words) in enumerate(zip(dense, packed)):
+            np.testing.assert_array_equal(rows, clause_of == j)
+            for k in range(ds.n_labels):
+                label_rows = np.flatnonzero(ds.Y == k)
+                bits = np.unpackbits(words[k].view(np.uint8), bitorder="little")
+                np.testing.assert_array_equal(bits[:label_rows.size], rows[label_rows])
+                assert not bits[label_rows.size:].any()
 
 
 class TestLogPosterior:
@@ -414,12 +482,7 @@ class TestFirstMatchAgreement:
         counts = fitted_counts(rules, ds)
         recount = np.zeros((len(rules) + 1, ds.n_labels), dtype=np.int64)
         for x, y in zip(ds.X, ds.Y):
-            clause = next(
-                (j for j, rule in enumerate(rules)
-                 if all(x[lit.attribute] == lit.category for lit in rule.literals)),
-                len(rules),
-            )
-            recount[clause, y] += 1
+            recount[first_clause(rules, x), y] += 1
         np.testing.assert_array_equal(counts, recount)
 
         rule_list = RuleList(rules=rules, capture_counts=counts, alpha=alpha)

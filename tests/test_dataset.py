@@ -249,6 +249,14 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match="age"):
             load_csv(path, label_column="label", numeric_bins={"age": 2})
 
+    def test_bad_cell_error_names_its_file_line(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("a,x,label\np,1.5,y\n\nq,oops,n\nr,2.0,y\n")
+        with pytest.raises(DatasetError, match=r"row 4 holds 'oops'"):
+            load_csv(path, label_column="label", numeric_bins={"x": 2})
+        with pytest.raises(DatasetError, match=r"row 4 holds 'oops'"):
+            load_feature_csv(path, numeric_bins={"x": 2})
+
     def test_four_row_binary_case(self, tmp_path):
         path = tmp_path / "tiny.csv"
         write_csv(path, ["a", "label"], [["x", "0"], ["y", "1"], ["x", "0"], ["y", "1"]])

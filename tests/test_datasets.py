@@ -97,3 +97,13 @@ class TestHeartLoader:
         path.write_text("1.0,2.0,3.0\n")
         with pytest.raises(DatasetError):
             load_heart_csv(path)
+
+    def test_bad_cell_error_names_its_file_line(self, tmp_path):
+        path = tmp_path / "heart.csv"
+        write_heart_fixture(path, n=3)
+        first, second, third = path.read_text().splitlines()
+        second = "old" + second[second.index(","):]
+        # Blank lines are skipped but still count: the bad age is on line 4.
+        path.write_text("\n".join([first, "", "  ", second, third]) + "\n")
+        with pytest.raises(DatasetError, match=r"'age' declared numeric but row 4 holds 'old'"):
+            load_heart_csv(path)
