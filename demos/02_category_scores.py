@@ -48,5 +48,5 @@ for j, schema in enumerate(dataset.schemas):
 
 # Each label's best single-literal score is the seed for the miner's
 # pruning bound.
-best = np.nanmax(np.where(table.defined[:, None], table.scores, np.nan), axis=0)
+best = np.nanmax(table.scores, axis=0)
 print(f"\nbest per-label scores (full space): {np.round(best, 3).tolist()}")

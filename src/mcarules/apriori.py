@@ -16,11 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .dataset import CategoricalDataset, Literal
-from .miner import Rule, ScoredRule
-
-STATUS_OK = "ok"
-STATUS_EMPTY = "empty"
-STATUS_BUDGET_EXCEEDED = "budget_exceeded"
+from .miner import MiningResult, Rule, ScoredRule, rank, union_of
 
 
 @dataclass(frozen=True)
@@ -37,28 +33,19 @@ class AprioriConfig:
             raise ValueError("max_candidates must be at least 1")
 
 
-@dataclass(frozen=True)
-class AprioriResult:
-    rules: tuple[ScoredRule, ...]
-    per_label: tuple[tuple[ScoredRule, ...], ...]
-    status: str
-    n_candidates: int
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
-
 def apriori_mine(
     dataset: CategoricalDataset,
     s_min: float,
     r_max: int,
     config: AprioriConfig | None = None,
-) -> AprioriResult:
+) -> MiningResult:
     """All rules up to ``r_max`` literals frequent for at least one label.
 
     An itemset is frequent when its support within some label class reaches
     ``s_min``; every emitted rule is annotated per qualifying label with that
-    support and with its confidence (matched-and-labelled over matched).
+    support and with its confidence (matched-and-labelled over matched),
+    which serves as its score. A run stopped by a budget keeps the itemsets
+    counted so far and reports status "budget_exceeded".
     """
     if s_min <= 0:
         raise ValueError("s_min must be positive")
@@ -83,8 +70,8 @@ def apriori_mine(
     class_counts = dataset.label_counts()
     n_labels = dataset.n_labels
 
-    def out_of_budget(n_candidates):
-        if config.max_candidates is not None and n_candidates > config.max_candidates:
+    def out_of_budget(total):
+        if config.max_candidates is not None and total > config.max_candidates:
             return True
         if config.time_budget is not None:
             return time.monotonic() - started > config.time_budget
@@ -125,7 +112,7 @@ def apriori_mine(
             level = {c: v for c, v in counts.items() if is_frequent(v)}
             frequent.update(level)
 
-    per_label_lists = [[] for _ in range(n_labels)]
+    buckets = [[] for _ in range(n_labels)]
     for itemset, label_counts in frequent.items():
         rule = Rule.of(literal_of[f] for f in itemset)
         matched = int(label_counts.sum())
@@ -135,32 +122,11 @@ def apriori_mine(
             supp = label_counts[k] / class_counts[k]
             if supp >= s_min:
                 confidence = label_counts[k] / matched
-                per_label_lists[k].append(
+                buckets[k].append(
                     ScoredRule(rule=rule, label=k, score=confidence, support=supp)
                 )
-    for bucket in per_label_lists:
-        bucket.sort(key=lambda s: (-s.score, len(s.rule), s.rule.literals))
-
-    best = {}
-    for bucket in per_label_lists:
-        for sr in bucket:
-            prev = best.get(sr.rule)
-            if prev is None or (sr.score, -sr.label) > (prev.score, -prev.label):
-                best[sr.rule] = sr
-    union = tuple(
-        sorted(best.values(), key=lambda s: (-s.score, len(s.rule), s.rule.literals, s.label))
-    )
-    if budget_hit:
-        status = STATUS_BUDGET_EXCEEDED
-    elif union:
-        status = STATUS_OK
-    else:
-        status = STATUS_EMPTY
-    return AprioriResult(
-        rules=union,
-        per_label=tuple(tuple(b) for b in per_label_lists),
-        status=status,
-        n_candidates=total_candidates,
+    return union_of(
+        [rank(b) for b in buckets], "budget_exceeded" if budget_hit else None
     )
 
 

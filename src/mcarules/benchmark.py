@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,16 +37,16 @@ BENCH_HEADER = (
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """Grid and budgets for one benchmark run."""
+    """Grid and budgets for one benchmark run; the miner settings are a ``MinerConfig``'s."""
 
     attribute_grid: tuple[int, ...] = (10, 50, 100)
     n: int = 500
     n_categories: int = 3
     repetitions: int = 1
-    r_max: int = 2
-    s_min: float = 0.3
-    mu_min: float = 0.5
-    M: int = 70
+    r_max: int = MinerConfig.r_max
+    s_min: float = MinerConfig.s_min
+    mu_min: float = MinerConfig.mu_min
+    M: int = MinerConfig.M
     components: int | None = None
     signal_fraction: float = 0.1
     signal_strength: float = 0.8
@@ -53,6 +54,7 @@ class BenchmarkConfig:
     time_budget: float = 300.0
 
     def __post_init__(self):
+        self.miner_config  # builds, and so validates, the miner settings
         if not self.attribute_grid or min(self.attribute_grid) < 1:
             raise ValueError("attribute grid must be non-empty and positive")
         if self.components is not None and self.components < 1:
@@ -69,6 +71,10 @@ class BenchmarkConfig:
             raise ValueError("signal_strength must lie in [0, 1]")
         if self.time_budget <= 0:
             raise ValueError("time_budget must be positive")
+
+    @cached_property
+    def miner_config(self) -> MinerConfig:
+        return MinerConfig(r_max=self.r_max, s_min=self.s_min, mu_min=self.mu_min, M=self.M)
 
 
 @dataclass(frozen=True)
@@ -118,12 +124,9 @@ def synthetic_dataset(
 
 
 def _time_mca(dataset, config: BenchmarkConfig, n_workers):
-    miner_config = MinerConfig(
-        r_max=config.r_max, s_min=config.s_min, mu_min=config.mu_min, M=config.M
-    )
     start = time.perf_counter()
     model = fit(build_indicator(dataset), components=config.components)
-    result = mine(dataset, model, miner_config, n_workers=n_workers)
+    result = mine(dataset, model, config.miner_config, n_workers=n_workers)
     elapsed = time.perf_counter() - start
     return elapsed, result.status, len(result)
 

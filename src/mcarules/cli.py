@@ -119,12 +119,12 @@ def _cfg_converter(action: argparse.Action):
 
 
 _MINER_DEFAULTS = {
-    "r_max": 2,
-    "s_min": 0.3,
-    "mu_min": 0.5,
-    "top": 70,
+    "r_max": MinerConfig.r_max,
+    "s_min": MinerConfig.s_min,
+    "mu_min": MinerConfig.mu_min,
+    "top": MinerConfig.M,
     "components": None,
-    "unsigned": False,
+    "unsigned": not MinerConfig.signed,
 }
 
 _INGEST_DEFAULTS = {
@@ -143,29 +143,29 @@ _DEFAULTS = {
     "train": {
         **_INGEST_DEFAULTS,
         **_MINER_DEFAULTS,
-        "chains": 4,
-        "lambda_": 3.0,
-        "eta": 1.0,
-        "alpha": 1.0,
-        "max_iters": 50_000,
-        "check_interval": 1_000,
-        "rhat": 1.05,
-        "seed": 0,
+        "chains": BrlConfig.n_chains,
+        "lambda_": BrlConfig.lambda_,
+        "eta": BrlConfig.eta_card,
+        "alpha": BrlConfig.alpha,
+        "max_iters": BrlConfig.max_iters,
+        "check_interval": BrlConfig.check_interval,
+        "rhat": BrlConfig.rhat_threshold,
+        "seed": BrlConfig.seed,
         "out": "model.json",
     },
     "predict": {**_INGEST_DEFAULTS},
     "evaluate": {**_INGEST_DEFAULTS},
     "render": {},
     "benchmark": {
-        "grid": "10,50,100",
-        "n": 500,
-        "categories": 3,
-        "reps": 1,
+        "grid": ",".join(map(str, BenchmarkConfig.attribute_grid)),
+        "n": BenchmarkConfig.n,
+        "categories": BenchmarkConfig.n_categories,
+        "reps": BenchmarkConfig.repetitions,
         **_MINER_DEFAULTS,
-        "signal_fraction": 0.1,
-        "signal_strength": 0.8,
-        "time_budget": 300.0,
-        "seed": 0,
+        "signal_fraction": BenchmarkConfig.signal_fraction,
+        "signal_strength": BenchmarkConfig.signal_strength,
+        "time_budget": BenchmarkConfig.time_budget,
+        "seed": BenchmarkConfig.seed,
         "out": "bench.csv",
     },
 }
@@ -394,9 +394,9 @@ def _build_brl_config(args) -> BrlConfig:
 
 
 def cmd_mine(args) -> int:
+    config = _build_miner_config(args)
     dataset = _load_labeled(args)
     if args.algo == "mca":
-        config = _build_miner_config(args)
         model = _fit_scores(dataset, args)
         result = mine(dataset, model, config, n_workers=args.threads)
         record = {"algo": "mca", "components": args.components, **asdict(config)}

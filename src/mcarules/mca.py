@@ -9,7 +9,7 @@ rule miner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class IndicatorMatrix:
     matrix: np.ndarray
     owners: tuple[ColumnOwner, ...]
     dropped: tuple[ColumnOwner, ...]
-    n_attributes: int
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -104,7 +103,6 @@ def build_indicator(dataset: CategoricalDataset) -> IndicatorMatrix:
         matrix=np.column_stack(blocks),
         owners=tuple(owners),
         dropped=tuple(dropped),
-        n_attributes=dataset.p,
     )
 
 
@@ -122,8 +120,6 @@ class McaModel:
     column_masses: np.ndarray
     owners: tuple[ColumnOwner, ...]
     dropped: tuple[ColumnOwner, ...]
-    n_attributes: int
-    _row_of: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         coords = np.asarray(self.category_coords, dtype=np.float64)
@@ -134,49 +130,10 @@ class McaModel:
         if np.any(self.column_masses <= 0):
             raise ValueError("column masses must be positive")
         coords.setflags(write=False)
-        for i, owner in enumerate(self.owners):
-            self._row_of[(owner.attribute, owner.category)] = i
 
     @property
     def n_components(self) -> int:
         return self.category_coords.shape[1]
-
-    def literal_coords(self, literal: Literal) -> np.ndarray:
-        row = self._row_of.get((literal.attribute, literal.category))
-        if row is None:
-            raise ScoreUndefinedError(
-                f"category {literal.category} of attribute {literal.attribute} "
-                "never occurs; its coordinates were dropped at fit time"
-            )
-        return self.category_coords[row]
-
-    def label_coords(self, label: int) -> np.ndarray:
-        row = self._row_of.get((None, label))
-        if row is None:
-            raise ScoreUndefinedError(f"label class {label} never occurs in the fitted data")
-        return self.category_coords[row]
-
-    def to_dict(self) -> dict:
-        """Flat dump of owners, masses, singular values, coordinates."""
-        return {
-            "n_components": self.n_components,
-            "singular_values": self.singular_values.tolist(),
-            "columns": [
-                {
-                    "owner": "label" if o.is_label else o.name,
-                    "attribute_index": o.attribute,
-                    "category_index": o.category,
-                    "category": o.category_label,
-                    "mass": float(self.column_masses[i]),
-                    "coordinates": self.category_coords[i].tolist(),
-                }
-                for i, o in enumerate(self.owners)
-            ],
-            "dropped": [
-                {"owner": "label" if o.is_label else o.name, "category": o.category_label}
-                for o in self.dropped
-            ],
-        }
 
 
 def standardized_residuals(matrix: np.ndarray):
@@ -226,38 +183,20 @@ def fit(indicator: IndicatorMatrix, components: int | None = None) -> McaModel:
         column_masses=c,
         owners=indicator.owners,
         dropped=indicator.dropped,
-        n_attributes=indicator.n_attributes,
     )
-
-
-def total_inertia(model: McaModel) -> float:
-    return float(np.sum(model.singular_values**2))
-
-
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < NORM_TOL or nv < NORM_TOL:
-        raise ScoreUndefinedError("zero-norm coordinate row; cosine undefined")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
-def literal_label_score(model: McaModel, literal: Literal, label: int) -> float:
-    """Cosine between the literal's and the label's principal-coordinate rows."""
-    return _cosine(model.literal_coords(literal), model.label_coords(label))
 
 
 @dataclass(frozen=True, eq=False)
 class ScoreTable:
     """All literal-label cosines of a fitted model.
 
-    ``scores[flat_literal, k]`` is NaN when the literal's coordinates are
-    degenerate (category absent or zero-norm, e.g. a category covering every
-    row); such literals are skipped by the miner.
+    ``scores[flat_literal, k]`` is NaN, the only marker of an undefined
+    score, when the literal's or the label's coordinates are degenerate
+    (category absent or zero-norm, e.g. a category covering every row); such
+    literals are skipped by the miner.
     """
 
     scores: np.ndarray
-    defined: np.ndarray
     offsets: np.ndarray
     n_labels: int
 
@@ -267,7 +206,7 @@ class ScoreTable:
     def score(self, literal: Literal, label: int) -> float:
         idx = self.flat_index(literal)
         value = self.scores[idx, label]
-        if not self.defined[idx] or np.isnan(value):
+        if np.isnan(value):
             raise ScoreUndefinedError(
                 f"literal (attribute {literal.attribute}, category {literal.category}) "
                 f"has no defined score for label {label}"
@@ -281,7 +220,6 @@ def score_table(model: McaModel, dataset: CategoricalDataset) -> ScoreTable:
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
     total = int(sum(sizes))
     scores = np.full((total, dataset.n_labels), np.nan)
-    defined = np.zeros(total, dtype=bool)
 
     coords = model.category_coords
     norms = np.linalg.norm(coords, axis=1)
@@ -294,11 +232,8 @@ def score_table(model: McaModel, dataset: CategoricalDataset) -> ScoreTable:
         if owner.is_label or norms[i] < NORM_TOL:
             continue
         flat = int(offsets[owner.attribute]) + owner.category
-        defined[flat] = True
         for k, row in label_rows.items():
             cos = np.dot(coords[i], coords[row]) / (norms[i] * norms[row])
             scores[flat, k] = np.clip(cos, -1.0, 1.0)
 
-    return ScoreTable(
-        scores=scores, defined=defined, offsets=offsets, n_labels=dataset.n_labels
-    )
+    return ScoreTable(scores=scores, offsets=offsets, n_labels=dataset.n_labels)

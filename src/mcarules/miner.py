@@ -93,7 +93,11 @@ class MinerConfig:
 
 @dataclass(frozen=True)
 class MiningResult:
-    """Union of the per-label top-M rules; ``status`` is "empty" when nothing passed."""
+    """Union of the per-label ranked rules.
+
+    ``status`` is "ok", "empty" when nothing passed, or "budget_exceeded"
+    when a budgeted miner stopped early with the rules found so far.
+    """
 
     rules: tuple[ScoredRule, ...]
     per_label: tuple[tuple[ScoredRule, ...], ...]
@@ -101,6 +105,34 @@ class MiningResult:
 
     def __len__(self) -> int:
         return len(self.rules)
+
+
+def rank(scored) -> tuple[ScoredRule, ...]:
+    """One label's rules, best first: higher score, then fewer literals, then literal order."""
+    return tuple(sorted(scored, key=lambda s: (-s.score, len(s.rule), s.rule.literals)))
+
+
+def union_of(per_label, status: str | None = None) -> MiningResult:
+    """Deduplicate ranked per-label rules into one ranked union.
+
+    A rule kept for several labels appears once, under its best
+    ``(score, -label)``; ties in the union fall back to the label index.
+    ``status`` defaults to "ok", or "empty" when no rule survived.
+    """
+    best: dict[Rule, ScoredRule] = {}
+    for ranked in per_label:
+        for sr in ranked:
+            kept = best.get(sr.rule)
+            if kept is None or (sr.score, -sr.label) > (kept.score, -kept.label):
+                best[sr.rule] = sr
+    union = tuple(
+        sorted(best.values(), key=lambda s: (-s.score, len(s.rule), s.rule.literals, s.label))
+    )
+    if status is None:
+        status = "ok" if union else "empty"
+    return MiningResult(
+        rules=union, per_label=tuple(tuple(r) for r in per_label), status=status
+    )
 
 
 def rule_mask(rule: Rule, X: np.ndarray) -> np.ndarray:
@@ -153,8 +185,7 @@ def mine(
     scores = table.scores if config.signed else np.abs(table.scores)
     rho_bar = np.full(dataset.n_labels, np.nan)
     for k in range(dataset.n_labels):
-        col = scores[table.defined, k]
-        col = col[~np.isnan(col)]
+        col = scores[~np.isnan(scores[:, k]), k]
         if col.size:
             rho_bar[k] = col.max()
 
@@ -183,17 +214,7 @@ def mine(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_label = list(pool.map(mine_label, range(dataset.n_labels)))
 
-    best: dict[Rule, ScoredRule] = {}
-    for ranked in per_label:
-        for sr in ranked:
-            kept = best.get(sr.rule)
-            if kept is None or (sr.score, -sr.label) > (kept.score, -kept.label):
-                best[sr.rule] = sr
-    union = tuple(
-        sorted(best.values(), key=lambda s: (-s.score, len(s.rule), s.rule.literals, s.label))
-    )
-    status = "ok" if union else "empty"
-    return MiningResult(rules=union, per_label=tuple(per_label), status=status)
+    return union_of(per_label)
 
 
 def _mine_one_label(
@@ -202,7 +223,7 @@ def _mine_one_label(
     """Seed, extend, prune, and rank rules for one label."""
     class_mask = dataset.Y == k
 
-    defined = table.defined & ~np.isnan(scores_k)
+    defined = ~np.isnan(scores_k)
     lit_class_counts = lit_masks[:, class_mask].sum(axis=1)
 
     pool: dict[Rule, ScoredRule] = {}
@@ -257,7 +278,4 @@ def _mine_one_label(
                     continue
                 add(child, child_score, child_supp)
 
-    ranked = sorted(
-        pool.values(), key=lambda s: (-s.score, len(s.rule), s.rule.literals)
-    )
-    return tuple(ranked[: config.M])
+    return rank(pool.values())[: config.M]

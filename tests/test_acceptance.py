@@ -39,7 +39,6 @@ from mcarules.mca import (
     ScoreUndefinedError,
     build_indicator,
     fit,
-    literal_label_score,
     score_table,
 )
 from mcarules.metrics import accuracy, cohen_kappa, confusion_matrix, roc_auc
@@ -240,6 +239,7 @@ def test_criterion_3_mca_oracle_equivalence():
         if sigma.size == 0 or np.any(np.abs(np.diff(sigma)) < 1e-6):
             continue
         model = fit(ind)
+        table = score_table(model, ds)
         assert model.n_components == sigma.size
         np.testing.assert_allclose(model.singular_values, sigma, atol=1e-8)
         for comp in range(sigma.size):
@@ -253,7 +253,7 @@ def test_criterion_3_mca_oracle_equivalence():
             lit = Literal(owner.attribute, owner.category)
             for k, row in enumerate(label_rows):
                 try:
-                    got = literal_label_score(model, lit, k)
+                    got = table.score(lit, k)
                 except ScoreUndefinedError:
                     continue
                 u, v = coords[i], coords[row]

@@ -5,9 +5,9 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from mcarules.apriori import AprioriConfig, AprioriResult, apriori_mine
+from mcarules.apriori import AprioriConfig, apriori_mine
 from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
-from mcarules.miner import Rule, ScoredRule, rule_mask, support
+from mcarules.miner import MiningResult, Rule, ScoredRule, rule_mask, support
 
 
 def random_dataset(rng, sizes, n, n_labels=2):
@@ -169,5 +169,5 @@ class TestAprioriMine:
         ds = random_dataset(rng, sizes=[2, 3, 2], n=50)
         a = apriori_mine(ds, s_min=0.25, r_max=3)
         b = apriori_mine(ds, s_min=0.25, r_max=3)
-        assert isinstance(a, AprioriResult)
+        assert isinstance(a, MiningResult)
         assert a == b

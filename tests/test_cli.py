@@ -104,6 +104,32 @@ class TestUsageErrors:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["mine", "{toy}", "--label", "label", "--algo", "apriori", "--r-max", "0"],
+             "r_max must be at least 1"),
+            (["mine", "{toy}", "--label", "label", "--algo", "apriori", "--s-min", "0"],
+             "s_min must be positive"),
+            (["benchmark", "--grid", "3", "--n", "60", "--r-max", "0"],
+             "r_max must be at least 1"),
+            (["benchmark", "--grid", "3", "--n", "60", "--top", "0"],
+             "M must be at least 1"),
+            (["benchmark", "--grid", "3", "--n", "60", "--s-min", "0"],
+             "s_min must be positive"),
+        ],
+    )
+    def test_bad_miner_value_is_usage_error(
+        self, workspace, tmp_path, capsys, argv, message
+    ):
+        out = tmp_path / "out"
+        argv = [arg.format(toy=workspace["toy"]) for arg in argv] + ["--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "attrs]" not in err  # rejected before any benchmark run
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_flags_win_over_file(self, workspace, tmp_path, capsys):

@@ -8,9 +8,7 @@ from mcarules.mca import (
     ScoreUndefinedError,
     build_indicator,
     fit,
-    literal_label_score,
     score_table,
-    total_inertia,
 )
 
 
@@ -101,10 +99,10 @@ class TestBuildIndicator:
 class TestFit:
     def test_perfectly_correlated_scores(self):
         ds = perfectly_correlated_dataset()
-        model = fit(build_indicator(ds))
-        assert literal_label_score(model, Literal(0, 0), 0) == pytest.approx(1.0)
-        assert literal_label_score(model, Literal(0, 0), 1) == pytest.approx(-1.0)
-        assert literal_label_score(model, Literal(0, 1), 1) == pytest.approx(1.0)
+        table = score_table(fit(build_indicator(ds)), ds)
+        assert table.score(Literal(0, 0), 0) == pytest.approx(1.0)
+        assert table.score(Literal(0, 0), 1) == pytest.approx(-1.0)
+        assert table.score(Literal(0, 1), 1) == pytest.approx(1.0)
 
     def test_perfectly_correlated_matches_oracle(self):
         ds = perfectly_correlated_dataset()
@@ -127,7 +125,7 @@ class TestFit:
         model = fit(build_indicator(ds))
         assert model.n_components == 0
         with pytest.raises(ScoreUndefinedError):
-            literal_label_score(model, Literal(0, 0), 0)
+            score_table(model, ds).score(Literal(0, 0), 0)
 
     def test_total_inertia_identity(self):
         rng = np.random.default_rng(42)
@@ -136,7 +134,7 @@ class TestFit:
             ind = build_indicator(ds)
             model = fit(ind)
             expected = ind.n_columns / (ds.p + 1) - 1
-            assert total_inertia(model) == pytest.approx(expected, abs=1e-8)
+            assert np.sum(model.singular_values**2) == pytest.approx(expected, abs=1e-8)
 
     def test_right_vectors_orthonormal_and_sign_fixed(self):
         rng = np.random.default_rng(3)
@@ -158,13 +156,11 @@ class TestFit:
         shuffled = CategoricalDataset(
             schemas=ds.schemas, X=ds.X[perm], Y=ds.Y[perm], label_names=ds.label_names
         )
-        a = fit(build_indicator(ds))
-        b = fit(build_indicator(shuffled))
+        a = score_table(fit(build_indicator(ds)), ds)
+        b = score_table(fit(build_indicator(shuffled)), shuffled)
         for lit in (Literal(0, 0), Literal(1, 2)):
             for k in (0, 1):
-                assert literal_label_score(a, lit, k) == pytest.approx(
-                    literal_label_score(b, lit, k), abs=1e-10
-                )
+                assert a.score(lit, k) == pytest.approx(b.score(lit, k), abs=1e-10)
 
     def test_row_duplication_invariance(self):
         rng = np.random.default_rng(11)
@@ -175,13 +171,11 @@ class TestFit:
             Y=np.concatenate([ds.Y, ds.Y]),
             label_names=ds.label_names,
         )
-        a = fit(build_indicator(ds))
-        b = fit(build_indicator(doubled))
+        a = score_table(fit(build_indicator(ds)), ds)
+        b = score_table(fit(build_indicator(doubled)), doubled)
         for lit in (Literal(0, 0), Literal(1, 1)):
             for k in (0, 1):
-                assert literal_label_score(a, lit, k) == pytest.approx(
-                    literal_label_score(b, lit, k), abs=1e-10
-                )
+                assert a.score(lit, k) == pytest.approx(b.score(lit, k), abs=1e-10)
 
 
 class TestOracleEquivalence:
@@ -196,6 +190,7 @@ class TestOracleEquivalence:
             if ind.n_columns > 15:
                 continue
             model = fit(ind)
+            table = score_table(model, ds)
             sigma, coords = ca_oracle(ind.matrix)
             strong = model.singular_values > 1e-6
             assert strong.sum() == sigma.size
@@ -214,7 +209,7 @@ class TestOracleEquivalence:
                 lit = Literal(owner.attribute, owner.category)
                 for k, row in enumerate(label_rows):
                     try:
-                        got = literal_label_score(model, lit, k)
+                        got = table.score(lit, k)
                     except ScoreUndefinedError:
                         continue
                     want = oracle_cosine(coords, i, row)
@@ -227,7 +222,7 @@ class TestOracleEquivalence:
             ds = random_dataset(rng, n=15, sizes=[2, 3])
             model = fit(build_indicator(ds))
             table = score_table(model, ds)
-            vals = table.scores[table.defined]
+            vals = table.scores
             vals = vals[~np.isnan(vals)]
             assert np.all(vals >= -1.0) and np.all(vals <= 1.0)
 
@@ -276,6 +271,7 @@ class TestTruncation:
             if sigma.size < 3 or np.any(np.abs(np.diff(sigma)) < 1e-6):
                 continue
             model = fit(ind, components=2)
+            table = score_table(model, ds)
             label_rows = [i for i, o in enumerate(model.owners) if o.is_label]
             lead = coords[:, :2]
             for i, owner in enumerate(model.owners):
@@ -284,7 +280,7 @@ class TestTruncation:
                 lit = Literal(owner.attribute, owner.category)
                 for k, row in enumerate(label_rows):
                     try:
-                        got = literal_label_score(model, lit, k)
+                        got = table.score(lit, k)
                     except ScoreUndefinedError:
                         continue
                     want = oracle_cosine(lead, i, row)
@@ -297,26 +293,13 @@ class TestTruncation:
         rng = np.random.default_rng(29)
         ds = random_dataset(rng, n=40, sizes=[3, 2, 2])
         table = score_table(fit(build_indicator(ds), components=1), ds)
-        vals = table.scores[table.defined]
+        vals = table.scores
         vals = vals[~np.isnan(vals)]
         assert vals.size > 0
         np.testing.assert_allclose(np.abs(vals), 1.0, atol=1e-8)
 
 
 class TestScoreTable:
-    def test_matches_pointwise_scores(self):
-        rng = np.random.default_rng(9)
-        ds = random_dataset(rng, n=30, sizes=[2, 3, 2])
-        model = fit(build_indicator(ds))
-        table = score_table(model, ds)
-        for j, schema in enumerate(ds.schemas):
-            for cat in range(schema.n_categories):
-                lit = Literal(j, cat)
-                for k in range(ds.n_labels):
-                    assert table.score(lit, k) == pytest.approx(
-                        literal_label_score(model, lit, k), abs=1e-12
-                    )
-
     def test_full_coverage_category_is_undefined(self):
         # A category present in every row carries no information; its
         # residual column is exactly zero and its score must be undefined.
@@ -331,19 +314,7 @@ class TestScoreTable:
         table = score_table(model, ds)
         with pytest.raises(ScoreUndefinedError):
             table.score(Literal(0, 0), 0)
-        with pytest.raises(ScoreUndefinedError):
-            literal_label_score(model, Literal(0, 0), 0)
         # The dropped sibling category is undefined too.
         with pytest.raises(ScoreUndefinedError):
-            literal_label_score(model, Literal(0, 1), 0)
+            table.score(Literal(0, 1), 0)
         assert table.score(Literal(1, 0), 0) == pytest.approx(1.0)
-
-    def test_export_round_trips_coordinates(self):
-        rng = np.random.default_rng(21)
-        ds = random_dataset(rng, n=20, sizes=[2, 2])
-        model = fit(build_indicator(ds))
-        dump = model.to_dict()
-        assert dump["n_components"] == model.n_components
-        assert len(dump["columns"]) == len(model.owners)
-        first = dump["columns"][0]
-        np.testing.assert_allclose(first["coordinates"], model.category_coords[0])

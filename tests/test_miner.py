@@ -21,15 +21,15 @@ from mcarules.miner import (
 )
 
 
-def make_table(score_rows, defined=None):
-    """Hand-built literal-score table for one single-attribute block per row."""
+def make_table(score_rows):
+    """Hand-built literal-score table for one single-attribute block per row.
+
+    A NaN entry marks an undefined score.
+    """
     scores = np.asarray(score_rows, dtype=np.float64)
-    n = scores.shape[0]
-    defined = np.ones(n, dtype=bool) if defined is None else np.asarray(defined, dtype=bool)
     return ScoreTable(
         scores=scores,
-        defined=defined,
-        offsets=np.arange(n, dtype=np.int64),
+        offsets=np.arange(scores.shape[0], dtype=np.int64),
         n_labels=scores.shape[1],
     )
 
@@ -176,7 +176,7 @@ class TestRuleScore:
         assert rule_score(rule, table, 0) == pytest.approx(0.0)
 
     def test_undefined_literal_raises(self):
-        table = make_table([[0.5, 0.5], [0.5, 0.5]], defined=[True, False])
+        table = make_table([[0.5, 0.5], [np.nan, np.nan]])
         rule = Rule.of([Literal(0, 0), Literal(1, 0)])
         with pytest.raises(ScoreUndefinedError):
             rule_score(rule, table, 0)
