@@ -26,23 +26,24 @@ rows = [
     "29,no,sometimes,low",
     "49,yes,often,low",
 ]
-csv_path = Path(tempfile.mkdtemp()) / "cohort.csv"
-csv_path.write_text("\n".join(rows) + "\n")
+with tempfile.TemporaryDirectory() as workdir:
+    csv_path = Path(workdir) / "cohort.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
 
-# Loaded as-is, 'age' becomes one category per distinct string: far too
-# fine-grained for rule mining.
-raw = load_csv(csv_path, "risk")
-print("without binning:")
-for schema in raw.schemas:
-    print(f"  {schema.name}: {schema.n_categories} categories ({schema.kind})")
+    # Loaded as-is, 'age' becomes one category per distinct string: far too
+    # fine-grained for rule mining.
+    raw = load_csv(csv_path, "risk")
+    print("without binning:")
+    for schema in raw.schemas:
+        print(f"  {schema.name}: {schema.n_categories} categories ({schema.kind})")
 
-# Quantile binning replaces the numeric column with interval categories.
-# Bin edges come from the observed quantiles, so each bin holds roughly the
-# same number of rows.
-binned = load_csv(csv_path, "risk", numeric_bins={"age": 3})
-print("\nwith age quantized into terciles:")
-for schema in binned.schemas:
-    print(f"  {schema.name}: {schema.categories} ({schema.kind})")
+    # Quantile binning replaces the numeric column with interval categories.
+    # Bin edges come from the observed quantiles, so each bin holds roughly the
+    # same number of rows.
+    binned = load_csv(csv_path, "risk", numeric_bins={"age": 3})
+    print("\nwith age quantized into terciles:")
+    for schema in binned.schemas:
+        print(f"  {schema.name}: {schema.categories} ({schema.kind})")
 
 # The label column is encoded separately; classes keep first-seen order.
 print(f"\nlabels: {binned.label_names}, counts: {binned.label_counts()}")

@@ -46,11 +46,12 @@ print("\n" + render_rule_list(rule_list, dataset.schemas, dataset.label_names))
 
 # Saved models stand alone: literals are stored by name, so the file can
 # be applied to any CSV with matching column names.
-model_path = Path(tempfile.mkdtemp()) / "model.json"
-write_model(model_path, rule_list, diagnostics, dataset, config)
-artifact = read_model(model_path)
+with tempfile.TemporaryDirectory() as workdir:
+    model_path = Path(workdir) / "model.json"
+    write_model(model_path, rule_list, diagnostics, dataset, config)
+    print(f"\nmodel file: {model_path.stat().st_size} bytes")
+    artifact = read_model(model_path)
 reloaded = artifact.predict_proba(dataset)
 direct = predict_proba_batch(rule_list, dataset.X)
-print(f"\nround trip agrees with in-memory predictions: "
+print(f"round trip agrees with in-memory predictions: "
       f"{bool(np.allclose(reloaded, direct))}")
-print(f"model written to {model_path}")

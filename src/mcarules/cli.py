@@ -393,7 +393,18 @@ def _build_brl_config(args) -> BrlConfig:
         raise UsageError(str(exc)) from None
 
 
+# Flags that one mining algorithm reads and the other would silently ignore.
+_FOREIGN_MINE_FLAGS = {
+    "mca": {"time_budget"},
+    "apriori": {"mu_min", "top", "unsigned", "components", "threads"},
+}
+
+
 def cmd_mine(args) -> int:
+    foreign = args.explicit_keys & _FOREIGN_MINE_FLAGS[args.algo]
+    if foreign:
+        flags = ", ".join("--" + key.replace("_", "-") for key in sorted(foreign))
+        raise UsageError(f"--algo {args.algo} does not use {flags}")
     config = _build_miner_config(args)
     dataset = _load_labeled(args)
     if args.algo == "mca":
@@ -614,11 +625,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         _merge_config_file(args, converters[args.subcommand])
-        defaults = _DEFAULTS[args.subcommand]
         args.explicit_keys = {
-            key for key in defaults if getattr(args, key, None) is not None
+            key for key in converters[args.subcommand]
+            if getattr(args, key) is not None
         }
-        _fill_defaults(args, defaults)
+        _fill_defaults(args, _DEFAULTS[args.subcommand])
         return _HANDLERS[args.subcommand](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -396,8 +396,10 @@ def encode_column(name: str, raw, bins: int | None = None, path=None, lines=None
 def stratified_kfold(dataset: CategoricalDataset, k: int, seed: int):
     """Split into ``k`` stratified (train, test) index partitions.
 
-    Folds are disjoint, cover all rows, and hold each class's fold counts
-    within one sample of proportional. Deterministic given ``seed``.
+    Folds are disjoint and cover all rows. Each fold holds floor or ceil of
+    n_c / k rows of class c, and within one row of the class's proportional
+    share of that fold: |count - fold size · n_c / n| <= 1. Deterministic
+    given ``seed``.
     """
     if k < 2:
         raise DatasetError(f"k must be at least 2, got {k}")
@@ -408,12 +410,27 @@ def stratified_kfold(dataset: CategoricalDataset, k: int, seed: int):
                 f"label class {dataset.label_names[c]!r} has {cnt} members; needs at least k={k}"
             )
     rng = np.random.default_rng(seed)
-    fold_of = np.empty(dataset.n, dtype=np.int64)
+    members = []
     for c in range(dataset.n_labels):
         idx = np.flatnonzero(dataset.Y == c)
         rng.shuffle(idx)
-        # Rotate the start fold per class so remainder samples spread out.
-        fold_of[idx] = (np.arange(idx.size) + c) % k
+        members.append(idx)
+
+    def deal(starts):
+        fold_of = np.empty(dataset.n, dtype=np.int64)
+        for idx, start in zip(members, starts):
+            fold_of[idx] = (np.arange(idx.size) + start) % k
+        return fold_of
+
+    # Rotate the start fold per class so remainder samples spread out. With
+    # three or more classes that can leave a fold off proportional; the
+    # sweep order never does.
+    fold_of = deal(range(dataset.n_labels))
+    table = np.bincount(fold_of * counts.size + dataset.Y, minlength=k * counts.size)
+    table = table.reshape(k, counts.size)
+    off = np.abs(table * dataset.n - table.sum(axis=1, keepdims=True) * counts)
+    if np.any(off > dataset.n):
+        fold_of = deal(_sweep_starts(counts, k))
     folds = []
     all_idx = np.arange(dataset.n)
     for f in range(k):
@@ -421,6 +438,29 @@ def stratified_kfold(dataset: CategoricalDataset, k: int, seed: int):
         train = all_idx[fold_of != f]
         folds.append((train, test))
     return folds
+
+
+def _sweep_starts(counts: np.ndarray, k: int) -> np.ndarray:
+    """Start folds that deal the classes in one sweep, keeping folds proportional.
+
+    A class of n_c rows starting at fold s puts its r_c = n_c mod k extra rows
+    in folds s..s+r_c-1. Dealt one after another from fold 0, the classes give
+    folds 0..h-1 (h = sum(r) mod k) one extra row more than the others. A
+    class with n_c·h > r_c·n must keep its extras inside those h folds, and a
+    class with n_c·(k-h) > (k-r_c)·n must cover all of them; the sweep takes
+    the latter first and the former last. Their extra rows (resp. the folds
+    they miss) number fewer than h (resp. k-h) in total, so both fit, and every
+    other class stays within one row of proportional wherever it lands.
+    """
+    n = counts.sum()
+    r = counts % k
+    h = r.sum() % k
+    late = counts * h > r * n
+    early = counts * (k - h) > (k - r) * n
+    order = np.argsort(np.where(early, 0, np.where(late, 2, 1)), kind="stable")
+    starts = np.empty_like(counts)
+    starts[order] = np.concatenate([[0], np.cumsum(counts[order])[:-1]]) % k
+    return starts
 
 
 def subset(dataset: CategoricalDataset, indices) -> CategoricalDataset:

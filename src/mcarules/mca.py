@@ -1,10 +1,11 @@
 """Multiple correspondence analysis over the dataset with its label column.
 
-The label column is appended to the attribute columns, the joint indicator
-matrix is one-hot encoded, and a standard correspondence analysis of that
-matrix yields one principal-coordinate row per category. The cosine between a
-literal's row and a label's row is the literal-label score consumed by the
-rule miner.
+The label column is appended to the attribute columns and the joint indicator
+matrix Z is one-hot encoded. Correspondence analysis of Z, computed from its
+Burt matrix ZᵀZ, yields one principal-coordinate row per category. The cosine
+between a literal's row and a label's row is the literal-label score consumed
+by the rule miner; with every component kept it is the phi coefficient of the
+two indicator columns.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .dataset import CategoricalDataset, Literal
 
-SV_TOL = 1e-12
+EIG_TOL = 1e-12
 NORM_TOL = 1e-12
 
 
@@ -57,10 +58,6 @@ class IndicatorMatrix:
         m.setflags(write=False)
 
     @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def n_columns(self) -> int:
         return self.matrix.shape[1]
 
@@ -71,22 +68,18 @@ def build_indicator(dataset: CategoricalDataset) -> IndicatorMatrix:
     Categories that never occur (possible on row subsets) are dropped from
     the matrix and recorded in ``dropped``.
     """
-    n = dataset.n
     blocks: list[np.ndarray] = []
     owners: list[ColumnOwner] = []
     dropped: list[ColumnOwner] = []
 
     def encode(codes, n_categories, make_owner):
-        block = np.zeros((n, n_categories), dtype=np.float64)
-        block[np.arange(n), codes] = 1.0
-        counts = block.sum(axis=0)
+        present = np.bincount(codes, minlength=n_categories) > 0
         for cat in range(n_categories):
-            owner = make_owner(cat)
-            if counts[cat] == 0:
-                dropped.append(owner)
+            if present[cat]:
+                owners.append(make_owner(cat))
+                blocks.append(codes == cat)
             else:
-                owners.append(owner)
-                blocks.append(block[:, cat])
+                dropped.append(make_owner(cat))
 
     for j, schema in enumerate(dataset.schemas):
         encode(
@@ -112,12 +105,14 @@ class McaModel:
 
     ``category_coords[i]`` is the coordinate row of ``owners[i]``; attribute
     categories and label categories live in the same space, so row cosines
-    are directly comparable.
+    are directly comparable. ``gram`` has the same row cosines: the integer
+    centred Burt matrix when every component is kept, else ``coords @ coordsᵀ``.
     """
 
     category_coords: np.ndarray
     singular_values: np.ndarray
     column_masses: np.ndarray
+    gram: np.ndarray
     owners: tuple[ColumnOwner, ...]
     dropped: tuple[ColumnOwner, ...]
 
@@ -130,57 +125,51 @@ class McaModel:
         if np.any(self.column_masses <= 0):
             raise ValueError("column masses must be positive")
         coords.setflags(write=False)
+        self.gram.setflags(write=False)
 
     @property
     def n_components(self) -> int:
         return self.category_coords.shape[1]
 
 
-def standardized_residuals(matrix: np.ndarray):
-    """Correspondence-analysis residual matrix S with the row/column masses.
-
-    P = N / grand total, r = P 1, c = Pᵀ 1, S = D_r^{-1/2} (P - r cᵀ) D_c^{-1/2}.
-    """
-    N = np.asarray(matrix, dtype=np.float64)
-    grand = N.sum()
-    if grand <= 0:
-        raise ValueError("indicator matrix is empty")
-    P = N / grand
-    r = P.sum(axis=1)
-    c = P.sum(axis=0)
-    S = (P - np.outer(r, c)) / np.sqrt(r)[:, None] / np.sqrt(c)[None, :]
-    return S, r, c
-
-
 def fit(indicator: IndicatorMatrix, components: int | None = None) -> McaModel:
-    """Correspondence analysis of the indicator matrix.
+    """Correspondence analysis of the indicator matrix Z, from its Burt matrix.
 
-    SVD of the standardized residuals; components with singular value above
-    ``SV_TOL`` are retained. ``components`` optionally truncates further to
-    the leading ones, which concentrates the cosine scores on the dominant
-    association structure. Each right singular vector's sign is fixed so
+    ZᵀZ of a 0/1 matrix is exact in any summation order, so the centred Burt
+    matrix K = n·ZᵀZ − f fᵀ (f the column counts) is exact in integers, and
+    SᵀS = K / (f.sum()·sqrt(f fᵀ)) for the standardized residuals S. Components
+    whose eigenvalue exceeds ``EIG_TOL`` are retained; ``components`` optionally
+    truncates further to the leading ones, which concentrates the cosine scores
+    on the dominant association structure. Each eigenvector's sign is fixed so
     its largest-magnitude entry is positive, making coordinates reproducible
     across backends. Column principal coordinates are G = D_c^{-1/2} V Sigma.
     """
     if components is not None and components < 1:
         raise ValueError("components must be at least 1 when given")
-    S, _, c = standardized_residuals(indicator.matrix)
-    _, sigma, Vt = np.linalg.svd(S, full_matrices=False)
-    keep = sigma > SV_TOL
-    sigma = sigma[keep]
-    V = Vt[keep].T
-    if components is not None and sigma.size > components:
+    Z = indicator.matrix
+    counts = Z.sum(axis=0).astype(np.int64)
+    total = int(counts.sum())
+    if total <= 0:
+        raise ValueError("indicator matrix is empty")
+    K = Z.shape[0] * (Z.T @ Z).astype(np.int64) - np.outer(counts, counts)
+    evals, evecs = np.linalg.eigh(K / (total * np.sqrt(np.outer(counts, counts))))
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    keep = evals > EIG_TOL
+    sigma = np.sqrt(evals[keep])
+    V = evecs[:, keep]
+    truncated = components is not None and sigma.size > components
+    if truncated:
         sigma = sigma[:components]
         V = V[:, :components]
-    for j in range(V.shape[1]):
-        pivot = np.argmax(np.abs(V[:, j]))
-        if V[pivot, j] < 0:
-            V[:, j] = -V[:, j]
+    pivots = np.argmax(np.abs(V), axis=0)
+    V = V * np.where(V[pivots, np.arange(V.shape[1])] < 0, -1.0, 1.0)
+    c = counts / total
     coords = V * sigma[None, :] / np.sqrt(c)[:, None]
     return McaModel(
         category_coords=coords,
         singular_values=sigma,
         column_masses=c,
+        gram=coords @ coords.T if truncated else K,
         owners=indicator.owners,
         dropped=indicator.dropped,
     )
@@ -215,25 +204,23 @@ class ScoreTable:
 
 
 def score_table(model: McaModel, dataset: CategoricalDataset) -> ScoreTable:
-    """Tabulate every literal-label cosine once, for the miner's inner loops."""
+    """Tabulate every literal-label cosine once, for the miner's inner loops.
+
+    cos = gram[l, k] / (norm_l·norm_k), norm = sqrt(diag(gram)), with one
+    denominator so one-component scores are exactly ±1. A norm below
+    ``NORM_TOL`` (at full rank, K_ii = f(n−f): a category in every row) is NaN.
+    """
     sizes = [s.n_categories for s in dataset.schemas]
     offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-    total = int(sum(sizes))
-    scores = np.full((total, dataset.n_labels), np.nan)
+    scores = np.full((int(sum(sizes)), dataset.n_labels), np.nan)
 
-    coords = model.category_coords
-    norms = np.linalg.norm(coords, axis=1)
-    label_rows = {}
-    for i, owner in enumerate(model.owners):
-        if owner.is_label and norms[i] >= NORM_TOL:
-            label_rows[owner.category] = i
-
-    for i, owner in enumerate(model.owners):
-        if owner.is_label or norms[i] < NORM_TOL:
-            continue
-        flat = int(offsets[owner.attribute]) + owner.category
-        for k, row in label_rows.items():
-            cos = np.dot(coords[i], coords[row]) / (norms[i] * norms[row])
-            scores[flat, k] = np.clip(cos, -1.0, 1.0)
-
+    owners = model.owners
+    lits = [i for i, o in enumerate(owners) if not o.is_label]
+    labs = [i for i, o in enumerate(owners) if o.is_label]
+    norms = np.sqrt(np.diag(model.gram))
+    norms = np.where(norms < NORM_TOL, np.nan, norms)
+    cos = model.gram[np.ix_(lits, labs)] / np.outer(norms[lits], norms[labs])
+    flat = [offsets[owners[i].attribute] + owners[i].category for i in lits]
+    labels = [owners[i].category for i in labs]
+    scores[np.ix_(flat, labels)] = np.clip(cos, -1.0, 1.0)
     return ScoreTable(scores=scores, offsets=offsets, n_labels=dataset.n_labels)

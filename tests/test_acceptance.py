@@ -207,7 +207,12 @@ def test_criterion_2_miner_oracle_equivalence():
 
 
 def ca_oracle(N):
-    """Brute-force correspondence analysis via eigen-decomposition of StS."""
+    """Brute-force correspondence analysis via eigen-decomposition of StS.
+
+    Independent of the fitted path: forms the n x J residual matrix S from
+    its definition in floating point, where ``fit`` forms SᵀS from integer
+    Burt counts.
+    """
     N = np.asarray(N, dtype=np.float64)
     P = N / N.sum()
     r = P.sum(axis=1)

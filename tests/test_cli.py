@@ -2,11 +2,18 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from mcarules.benchmark import synthetic_dataset
 from mcarules.cli import main
 from mcarules.datasets import titanic_dataset
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_toy_csv(path, n_blocks=10):
@@ -128,6 +135,44 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert message in err
         assert "attrs]" not in err  # rejected before any benchmark run
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "algo, flags, message",
+        [
+            ("apriori", ["--mu-min", "0.9"], "--mu-min"),
+            ("apriori", ["--top", "5"], "--top"),
+            ("apriori", ["--unsigned"], "--unsigned"),
+            ("apriori", ["--components", "1"], "--components"),
+            ("apriori", ["--threads", "1"], "--threads"),
+            ("apriori", ["--top", "5", "--unsigned"], "--top, --unsigned"),
+            ("mca", ["--time-budget", "10"], "--time-budget"),
+        ],
+    )
+    def test_flag_foreign_to_mining_algo(
+        self, workspace, tmp_path, capsys, algo, flags, message
+    ):
+        out = tmp_path / "rules.json"
+        argv = ["mine", workspace["toy"], "--label", "label", "--algo", algo]
+        assert main(argv + flags + ["--out", str(out)]) == 1
+        assert f"--algo {algo} does not use {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "algo, entry", [("apriori", "mu-min = 0.9"), ("mca", "time_budget = 10")]
+    )
+    def test_config_entry_foreign_to_mining_algo(
+        self, workspace, tmp_path, capsys, algo, entry
+    ):
+        cfg = tmp_path / "mine.cfg"
+        cfg.write_text(f"algo = {algo}\n{entry}\n")
+        out = tmp_path / "rules.json"
+        code = main([
+            "mine", workspace["toy"], "--label", "label",
+            "--config", str(cfg), "--out", str(out),
+        ])
+        assert code == 1
+        assert "does not use" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -258,6 +303,32 @@ class TestMine:
         for out in (a, b):
             assert main(["mine", workspace["toy"], "--label", "label", "--out", out]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_rules_do_not_depend_on_blas_thread_count(self, tmp_path):
+        # Near-tied full-rank scores on this table once came out in a
+        # different last bit, and so in a different order, at 1 and 2 BLAS
+        # threads; they are now computed from exact integer counts.
+        table = tmp_path / "table.csv"
+        synthetic_dataset(
+            n=2000, n_attributes=300, n_categories=3,
+            signal_fraction=0.1, signal_strength=0.8, seed=(0, 300, 0),
+        ).to_csv(table)
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        mined = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"rules_{threads}.json"
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "mcarules.cli", "mine", str(table),
+                    "--label", "label", "--r-max", "1", "--threads", "1",
+                    "--out", str(out),
+                ],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            mined.append(out.read_bytes())
+        assert mined[0] == mined[1]
 
     def test_impossible_support_yields_empty_status(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "rules.json")

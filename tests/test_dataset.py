@@ -365,6 +365,10 @@ class TestStratifiedKfold:
         st.integers(2, 5),
         st.integers(0, 2**31),
     )
+    # Counts whose per-class rotation leaves a fold off proportional.
+    @example(class_counts=[5, 33, 6, 6], k=4, seed=0)
+    @example(class_counts=[8, 12, 12, 19], k=5, seed=0)
+    @example(class_counts=[26, 19, 28], k=5, seed=0)
     def test_stratification_property(self, class_counts, k, seed):
         if min(class_counts) < k:
             return

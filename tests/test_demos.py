@@ -1,4 +1,7 @@
-"""Smoke test: every script under demos/ runs to completion against src/."""
+"""Smoke test: every script under demos/ runs to completion against src/.
+
+Each demo runs with TMPDIR pointed at an empty directory, which must stay empty.
+"""
 
 import os
 import subprocess
@@ -16,9 +19,12 @@ def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    env["TMPDIR"] = str(tmp_path)  # demos that write files use tempfile
+    temp = tmp_path / "tmp"  # demos that write files use tempfile
+    temp.mkdir()
+    env["TMPDIR"] = str(temp)
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert not any(temp.iterdir()), "demo left files in the temp dir"

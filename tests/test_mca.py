@@ -1,7 +1,11 @@
 """Tests for the correspondence-analysis fit and literal-label scores."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
 from mcarules.mca import (
@@ -15,9 +19,9 @@ from mcarules.mca import (
 def ca_oracle(N):
     """Brute-force correspondence analysis via eigen-decomposition of StS.
 
-    Independent of the fitted path: forms the residual matrix from the
-    definition and diagonalizes its Gram matrix instead of calling an SVD.
-    Returns (singular values, column principal coordinates) for components
+    Independent of the fitted path: forms the n x J residual matrix S from
+    its definition in floating point, where ``fit`` forms SᵀS from integer
+    Burt counts. Returns (singular values, column principal coordinates) for components
     whose singular value is clearly nonzero.
     """
     N = np.asarray(N, dtype=np.float64)
@@ -318,3 +322,51 @@ class TestScoreTable:
         with pytest.raises(ScoreUndefinedError):
             table.score(Literal(0, 1), 0)
         assert table.score(Literal(1, 0), 0) == pytest.approx(1.0)
+
+
+@st.composite
+def small_datasets(draw):
+    """A small dataset; categories and labels may be absent or cover every row."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    n_labels = draw(st.integers(2, 3))
+    cells = [st.integers(0, s - 1) for s in sizes] + [st.integers(0, n_labels - 1)]
+    row = st.tuples(*cells)
+    rows = np.array(draw(st.lists(row, min_size=1, max_size=30)))
+    schemas = tuple(
+        AttributeSchema(name=f"a{j}", categories=tuple(f"c{v}" for v in range(s)))
+        for j, s in enumerate(sizes)
+    )
+    labels = tuple(f"l{v}" for v in range(n_labels))
+    return CategoricalDataset(
+        schemas=schemas, X=rows[:, :-1], Y=rows[:, -1], label_names=labels
+    )
+
+
+class TestPhiIdentity:
+    @settings(max_examples=150, deadline=None)
+    @given(ds=small_datasets())
+    def test_full_rank_score_is_phi_coefficient(self, ds):
+        # With every component kept, the cosine of two category rows is the
+        # phi coefficient of their indicator columns:
+        # (n n_lk - f_l f_k) / sqrt(f_l (n - f_l) f_k (n - f_k)).
+        table = score_table(fit(build_indicator(ds)), ds)
+        n = ds.n
+        for j, schema in enumerate(ds.schemas):
+            for cat in range(schema.n_categories):
+                in_l = ds.X[:, j] == cat
+                f_l = int(in_l.sum())
+                for k in range(ds.n_labels):
+                    in_k = ds.Y == k
+                    f_k = int(in_k.sum())
+                    num = Fraction(n * int((in_l & in_k).sum()) - f_l * f_k)
+                    den = Fraction(f_l * (n - f_l) * f_k * (n - f_k))
+                    got = table.scores[table.flat_index(Literal(j, cat)), k]
+                    if den == 0:
+                        assert np.isnan(got)
+                    elif num == 0:
+                        assert got == 0.0
+                    else:
+                        # got = num / sqrt(den), compared exactly via squares.
+                        assert np.sign(got) == np.sign(num)
+                        ratio = Fraction(got) ** 2 * den / num**2
+                        assert abs(ratio - 1) < Fraction(1, 10**12)
