@@ -630,6 +630,8 @@ def main(argv=None) -> int:
             if getattr(args, key) is not None
         }
         _fill_defaults(args, _DEFAULTS[args.subcommand])
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise UsageError("--threads must be a positive integer")
         return _HANDLERS[args.subcommand](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ import heapq
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -177,9 +178,14 @@ def mine(
 ) -> MiningResult:
     """Mine the top-M rules per label, returning their deduplicated union.
 
-    Labels are mined independently (and concurrently); the dataset, model,
-    and score table are shared read-only, so results do not depend on the
-    worker count.
+    Labels are mined independently, on up to ``n_workers`` threads (default:
+    one per core). Each frontier rule is extended by every free literal at
+    once: one array pass scores all children, supports are counted only for
+    children at or above the working score floor, and rule objects are built
+    only for children that pass both floors. A score adds the literal scores
+    left to right in canonical literal order, as ``rule_score`` does, and a
+    support is the same integer ratio as ``support``'s, so every rule comes
+    out bit-identical however it was reached and whatever the worker count.
     """
     table = score_table(model, dataset)
     scores = table.scores if config.signed else np.abs(table.scores)
@@ -193,17 +199,14 @@ def mine(
     for j, schema in enumerate(dataset.schemas):
         for cat in range(schema.n_categories):
             flat_literals.append(Literal(j, cat))
-    lit_masks = np.stack(
-        [dataset.literal_mask(lit) for lit in flat_literals]
-    )
     class_counts = dataset.label_counts()
 
     def mine_label(k: int) -> tuple[ScoredRule, ...]:
         if class_counts[k] == 0 or np.isnan(rho_bar[k]):
             return ()
         return _mine_one_label(
-            dataset, table, scores[:, k], float(rho_bar[k]), config, k,
-            flat_literals, lit_masks, int(class_counts[k]),
+            table, scores[:, k], float(rho_bar[k]), config, k, flat_literals,
+            _class_literal_bits(dataset, k), int(class_counts[k]),
         )
 
     workers = n_workers or os.cpu_count() or 1
@@ -217,14 +220,28 @@ def mine(
     return union_of(per_label)
 
 
+def _class_literal_bits(dataset: CategoricalDataset, k: int) -> np.ndarray:
+    """Packed literal masks over the class-``k`` rows.
+
+    Bit i of row ``flat`` is set when flat literal ``flat`` holds on the
+    i-th class-``k`` row; pad bits are clear.
+    """
+    rows = np.flatnonzero(dataset.Y == k)
+    return np.concatenate([
+        np.packbits(dataset.X[rows, j] == np.arange(schema.n_categories)[:, None], axis=1)
+        for j, schema in enumerate(dataset.schemas)
+    ])
+
+
 def _mine_one_label(
-    dataset, table, scores_k, rho_bar_k, config, k, flat_literals, lit_masks, class_count
+    table, scores_k, rho_bar_k, config, k, flat_literals, class_bits, class_count
 ):
     """Seed, extend, prune, and rank rules for one label."""
-    class_mask = dataset.Y == k
-
-    defined = ~np.isnan(scores_k)
-    lit_class_counts = lit_masks[:, class_mask].sum(axis=1)
+    lit_class_counts = np.bitwise_count(class_bits).sum(axis=1, dtype=np.int64)
+    defined = np.flatnonzero(~np.isnan(scores_k))
+    defined_scores = scores_k[defined]
+    defined_attrs = np.array([flat_literals[f].attribute for f in defined], dtype=np.int64)
+    used = np.zeros(int(table.offsets.size), dtype=bool)
 
     pool: dict[Rule, ScoredRule] = {}
     top_scores: list[float] = []  # min-heap of the best M scores seen
@@ -236,13 +253,11 @@ def _mine_one_label(
         else:
             heapq.heappushpop(top_scores, score)
 
-    for flat, lit in enumerate(flat_literals):
-        if not defined[flat]:
-            continue
+    for flat in defined.tolist():
         score = float(scores_k[flat])
         supp = lit_class_counts[flat] / class_count
         if score >= config.mu_min and supp >= config.s_min:
-            add(Rule.of([lit]), score, supp)
+            add(Rule.of([flat_literals[flat]]), score, supp)
 
     for length in range(1, config.r_max):
         frontier = sorted(
@@ -254,28 +269,34 @@ def _mine_one_label(
                 working_mu = max(working_mu, top_scores[0])
             if pool[rule].score < score_bound(length, working_mu, rho_bar_k):
                 continue
-            parent_mask = rule_mask(rule, dataset.X)
-            used = rule.attributes
-            for flat, lit in enumerate(flat_literals):
-                if not defined[flat] or lit.attribute in used:
-                    continue
-                child = rule.extended(lit)
-                if child in pool:
-                    continue
-                # Recompute the mean in canonical literal order so equal rules
-                # score bit-identically however they were reached.
-                child_score = (
-                    sum(float(scores_k[table.flat_index(l)]) for l in child.literals)
-                    / len(child)
-                )
-                if child_score < working_mu:
-                    continue
-                hits = int(
-                    np.count_nonzero(parent_mask & lit_masks[flat] & class_mask)
-                )
-                child_supp = hits / class_count
-                if child_supp < config.s_min:
-                    continue
-                add(child, child_score, child_supp)
+            parent = np.array([table.flat_index(lit) for lit in rule.literals])
+            parent_scores = scores_k[parent]
+            used[:] = False
+            used[[lit.attribute for lit in rule.literals]] = True
+            free = ~used[defined_attrs]
+            cand = defined[free]
+            # A child's score sums its literal scores left to right in
+            # canonical order, as rule_score does: the parent's scores before
+            # the candidate's slot, the candidate, then the parent's rest.
+            slot = np.searchsorted(parent, cand)
+            prefix = np.fromiter(accumulate(parent_scores.tolist(), initial=0.0), float)
+            acc = prefix[slot] + defined_scores[free]
+            for i in range(length):
+                acc[slot <= i] += parent_scores[i]
+            child_scores = acc / (length + 1)
+            passing = child_scores >= working_mu
+            cand = cand[passing]
+            if cand.size == 0:
+                continue
+            child_scores = child_scores[passing]
+            parent_rows = np.bitwise_and.reduce(class_bits[parent])
+            hits = np.bitwise_count(class_bits[cand] & parent_rows).sum(axis=1, dtype=np.int64)
+            passing = hits / class_count >= config.s_min
+            for flat, score, hit in zip(
+                cand[passing].tolist(), child_scores[passing].tolist(), hits[passing].tolist()
+            ):
+                child = rule.extended(flat_literals[flat])
+                if child not in pool:
+                    add(child, score, hit / class_count)
 
     return rank(pool.values())[: config.M]

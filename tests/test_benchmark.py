@@ -90,6 +90,33 @@ class TestBenchmarkHarness:
         rows = run_benchmark(config, n_workers=1, progress=seen.append)
         assert seen == rows
 
+    def test_warm_up_pass_emits_no_row(self, monkeypatch):
+        from mcarules import benchmark
+
+        calls = []
+
+        def counted(name):
+            timed = getattr(benchmark, name)
+
+            def run(ds, *rest):
+                calls.append((name, ds.p))
+                return timed(ds, *rest)
+            return run
+
+        for name in ("_time_mca", "_time_apriori"):
+            monkeypatch.setattr(benchmark, name, counted(name))
+        config = BenchmarkConfig(attribute_grid=(3, 5), n=50, repetitions=2, M=5)
+        rows = run_benchmark(config, n_workers=1)
+        assert [(r.attributes, r.repetition, r.miner) for r in rows] == [
+            (p, rep, miner)
+            for p in (3, 5)
+            for rep in range(2)
+            for miner in ("mca", "apriori")
+        ]
+        # One untimed pass of each miner on the 2-attribute table comes first.
+        assert calls[:2] == [("_time_mca", 2), ("_time_apriori", 2)]
+        assert len(calls) == len(rows) + 2
+
     def test_rows_flatten_for_csv(self):
         row = BenchRow(
             attributes=10, miner="mca", repetition=0,

@@ -92,6 +92,26 @@ class TestUsageErrors:
         assert code == 1
         assert "--components" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("from_file", [False, True])
+    @pytest.mark.parametrize("subcommand", ["mine", "train", "benchmark"])
+    def test_threads_must_be_positive(
+        self, workspace, tmp_path, capsys, subcommand, from_file, value
+    ):
+        out = tmp_path / "out"
+        argv = [subcommand, "--out", str(out)]
+        if subcommand != "benchmark":
+            argv += [workspace["toy"], "--label", "label"]
+        if from_file:
+            cfg = tmp_path / "threads.cfg"
+            cfg.write_text(f"threads = {value}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--threads", value]
+        assert main(argv) == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rules_file_excludes_miner_flags(self, workspace, capsys):
         code = main([
             "train", workspace["toy"], "--label", "label",
