@@ -11,6 +11,7 @@ two indicator columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,113 +67,130 @@ def build_indicator(dataset: CategoricalDataset) -> IndicatorMatrix:
     """One-hot encode every attribute column and the label column.
 
     Categories that never occur (possible on row subsets) are dropped from
-    the matrix and recorded in ``dropped``.
+    the matrix and recorded in ``dropped``. The ones are written into a
+    category-major buffer, one row per kept category, whose transpose is
+    the matrix.
     """
-    blocks: list[np.ndarray] = []
+    columns = [
+        (dataset.X[:, j], schema.n_categories,
+         lambda cat, j=j, s=schema: ColumnOwner(j, cat, s.name, s.categories[cat]))
+        for j, schema in enumerate(dataset.schemas)
+    ]
+    columns.append((
+        dataset.Y, dataset.n_labels,
+        lambda cat: ColumnOwner(None, cat, dataset.label_name, dataset.label_names[cat]),
+    ))
+    presence = [np.bincount(codes, minlength=size) > 0 for codes, size, _ in columns]
     owners: list[ColumnOwner] = []
     dropped: list[ColumnOwner] = []
-
-    def encode(codes, n_categories, make_owner):
-        present = np.bincount(codes, minlength=n_categories) > 0
-        for cat in range(n_categories):
-            if present[cat]:
-                owners.append(make_owner(cat))
-                blocks.append(codes == cat)
-            else:
-                dropped.append(make_owner(cat))
-
-    for j, schema in enumerate(dataset.schemas):
-        encode(
-            dataset.X[:, j],
-            schema.n_categories,
-            lambda cat, j=j, s=schema: ColumnOwner(j, cat, s.name, s.categories[cat]),
-        )
-    encode(
-        dataset.Y,
-        dataset.n_labels,
-        lambda cat: ColumnOwner(None, cat, dataset.label_name, dataset.label_names[cat]),
-    )
-    return IndicatorMatrix(
-        matrix=np.column_stack(blocks),
-        owners=tuple(owners),
-        dropped=tuple(dropped),
-    )
+    n = dataset.n
+    buffer = np.zeros((sum(int(p.sum()) for p in presence), n))
+    flat, rows = buffer.reshape(-1), np.arange(n)
+    for (codes, size, make_owner), present in zip(columns, presence):
+        # Each row's one sits at its category's buffer row times n, plus the row.
+        position = ((len(owners) - 1 + np.cumsum(present)) * n)[codes]
+        position += rows
+        flat[position] = 1.0
+        for cat, kept in enumerate(present.tolist()):
+            (owners if kept else dropped).append(make_owner(cat))
+    return IndicatorMatrix(matrix=buffer.T, owners=tuple(owners), dropped=tuple(dropped))
 
 
 @dataclass(frozen=True, eq=False)
 class McaModel:
-    """Column principal coordinates of the fitted indicator matrix.
+    """Correspondence analysis of a fitted indicator matrix.
 
-    ``category_coords[i]`` is the coordinate row of ``owners[i]``; attribute
-    categories and label categories live in the same space, so row cosines
-    are directly comparable. ``gram`` has the same row cosines: the integer
-    centred Burt matrix when every component is kept, else ``coords @ coordsᵀ``.
+    ``gram`` holds the row cosines the miner scores with: the integer centred
+    Burt matrix K = n·ZᵀZ − f fᵀ (``fit``) when every component is kept, else
+    ``coords @ coordsᵀ``. ``category_coords[i]`` is the principal-coordinate
+    row of ``owners[i]``; attribute categories and label categories live in
+    the same space, so row cosines are directly comparable. ``truncated``
+    holds the leading (coordinates, singular values) a truncated fit computed;
+    when it is None, the coordinates are computed from K on first read and
+    cached, so scoring at full rank never decomposes.
     """
 
-    category_coords: np.ndarray
-    singular_values: np.ndarray
-    column_masses: np.ndarray
     gram: np.ndarray
+    column_counts: np.ndarray
     owners: tuple[ColumnOwner, ...]
     dropped: tuple[ColumnOwner, ...]
+    truncated: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        coords = np.asarray(self.category_coords, dtype=np.float64)
-        object.__setattr__(self, "category_coords", coords)
-        sv = self.singular_values
+        if np.any(self.column_counts <= 0):
+            raise ValueError("column counts must be positive")
+        self.gram.setflags(write=False)
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        coords, sv = self.truncated or _principal_coordinates(self.gram, self.column_counts)
         if np.any(sv <= 0) or np.any(np.diff(sv) > 0):
             raise ValueError("singular values must be positive and descending")
-        if np.any(self.column_masses <= 0):
-            raise ValueError("column masses must be positive")
         coords.setflags(write=False)
-        self.gram.setflags(write=False)
+        return coords, sv
+
+    @property
+    def category_coords(self) -> np.ndarray:
+        return self._spectrum[0]
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        return self._spectrum[1]
 
     @property
     def n_components(self) -> int:
         return self.category_coords.shape[1]
+
+    @property
+    def column_masses(self) -> np.ndarray:
+        return self.column_counts / int(self.column_counts.sum())
+
+
+def _principal_coordinates(K: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column principal coordinates and singular values from the centred Burt matrix.
+
+    SᵀS = K / (f.sum()·sqrt(f fᵀ)) for the standardized residuals S.
+    Components whose eigenvalue exceeds ``EIG_TOL`` are retained. Each
+    eigenvector's sign is fixed so its largest-magnitude entry is positive,
+    making coordinates reproducible across backends. G = D_c^{-1/2} V Sigma.
+    """
+    total = int(counts.sum())
+    evals, evecs = np.linalg.eigh(K / (total * np.sqrt(np.outer(counts, counts))))
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    keep = evals > EIG_TOL
+    sigma = np.sqrt(evals[keep])
+    V = evecs[:, keep]
+    pivots = np.argmax(np.abs(V), axis=0)
+    V = V * np.where(V[pivots, np.arange(V.shape[1])] < 0, -1.0, 1.0)
+    return V * sigma[None, :] / np.sqrt(counts / total)[:, None], sigma
 
 
 def fit(indicator: IndicatorMatrix, components: int | None = None) -> McaModel:
     """Correspondence analysis of the indicator matrix Z, from its Burt matrix.
 
     ZᵀZ of a 0/1 matrix is exact in any summation order, so the centred Burt
-    matrix K = n·ZᵀZ − f fᵀ (f the column counts) is exact in integers, and
-    SᵀS = K / (f.sum()·sqrt(f fᵀ)) for the standardized residuals S. Components
-    whose eigenvalue exceeds ``EIG_TOL`` are retained; ``components`` optionally
-    truncates further to the leading ones, which concentrates the cosine scores
-    on the dominant association structure. Each eigenvector's sign is fixed so
-    its largest-magnitude entry is positive, making coordinates reproducible
-    across backends. Column principal coordinates are G = D_c^{-1/2} V Sigma.
+    matrix K = n·ZᵀZ − f fᵀ (f the column counts) is exact in integers. The
+    full-rank fit is just these counts: its coordinates are computed from K
+    when first read (``McaModel``), and its scores need none. ``components``
+    optionally truncates to the leading components, which concentrates the
+    cosine scores on the dominant association structure; that decomposes K
+    here, since the truncated ``gram`` is built from the coordinates.
     """
     if components is not None and components < 1:
         raise ValueError("components must be at least 1 when given")
     Z = indicator.matrix
     counts = Z.sum(axis=0).astype(np.int64)
-    total = int(counts.sum())
-    if total <= 0:
+    if counts.sum() <= 0:
         raise ValueError("indicator matrix is empty")
     K = Z.shape[0] * (Z.T @ Z).astype(np.int64) - np.outer(counts, counts)
-    evals, evecs = np.linalg.eigh(K / (total * np.sqrt(np.outer(counts, counts))))
-    evals, evecs = evals[::-1], evecs[:, ::-1]
-    keep = evals > EIG_TOL
-    sigma = np.sqrt(evals[keep])
-    V = evecs[:, keep]
-    truncated = components is not None and sigma.size > components
-    if truncated:
-        sigma = sigma[:components]
-        V = V[:, :components]
-    pivots = np.argmax(np.abs(V), axis=0)
-    V = V * np.where(V[pivots, np.arange(V.shape[1])] < 0, -1.0, 1.0)
-    c = counts / total
-    coords = V * sigma[None, :] / np.sqrt(c)[:, None]
-    return McaModel(
-        category_coords=coords,
-        singular_values=sigma,
-        column_masses=c,
-        gram=coords @ coords.T if truncated else K,
-        owners=indicator.owners,
-        dropped=indicator.dropped,
-    )
+    model = McaModel(gram=K, column_counts=counts, owners=indicator.owners,
+                     dropped=indicator.dropped)
+    if components is None or model.n_components <= components:
+        return model
+    coords = np.ascontiguousarray(model.category_coords[:, :components])
+    return McaModel(gram=coords @ coords.T, column_counts=counts, owners=indicator.owners,
+                    dropped=indicator.dropped,
+                    truncated=(coords, model.singular_values[:components]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mcarules.benchmark import synthetic_dataset
@@ -317,6 +318,19 @@ class TestMine:
         assert payload["kind"] == "rules"
         assert payload["miner_config"]["algo"] == "apriori"
         assert len(payload["rules"]) > 0
+
+    def test_full_rank_mining_makes_no_eigendecomposition(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        # Full-rank scores are read from the integer Burt counts; only the
+        # coordinates, which mining never reads, need an eigendecomposition.
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        out = str(tmp_path / "rules.json")
+        assert main(["mine", workspace["toy"], "--label", "label", "--out", out]) == 0
+        assert len(json.loads(open(out).read())["rules"]) > 0
 
     def test_repeat_runs_are_byte_identical(self, workspace, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")

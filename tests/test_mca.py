@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
@@ -370,3 +370,43 @@ class TestPhiIdentity:
                         assert np.sign(got) == np.sign(num)
                         ratio = Fraction(got) ** 2 * den / num**2
                         assert abs(ratio - 1) < Fraction(1, 10**12)
+
+
+class TestDeferredCoordinates:
+    @settings(max_examples=100, deadline=None)
+    @given(ds=small_datasets())
+    @example(ds=CategoricalDataset(
+        schemas=(AttributeSchema(name="a0", categories=("c0", "c1")),),
+        X=np.zeros((3, 1), dtype=int), Y=np.zeros(3, dtype=int), label_names=("l0", "l1"),
+    ))
+    def test_deferred_equals_eager(self, ds):
+        # fit(ind) computes coordinates on first read; components=J computes
+        # them inside fit. Both must give the same bits.
+        ind = build_indicator(ds)
+        deferred = fit(ind)
+        eager = fit(ind, components=ind.n_columns)
+        np.testing.assert_array_equal(deferred.gram, eager.gram)
+        assert deferred.n_components == eager.n_components
+        np.testing.assert_array_equal(deferred.singular_values, eager.singular_values)
+        np.testing.assert_array_equal(deferred.category_coords, eager.category_coords)
+        assert deferred.category_coords.shape == (ind.n_columns, deferred.n_components)
+        if np.all(ind.matrix == ind.matrix[:1]):
+            assert deferred.n_components == 0
+
+    def test_deferred_values_are_validated(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        ds = random_dataset(rng, n=30, sizes=[2, 3])
+        ind = build_indicator(ds)
+        real_eigh = np.linalg.eigh
+
+        def ascending_after_reversal(a):
+            evals, evecs = real_eigh(a)
+            return evals[::-1], evecs[:, ::-1]
+
+        monkeypatch.setattr(np.linalg, "eigh", ascending_after_reversal)
+        model = fit(ind)  # counts only; nothing decomposed yet
+        for read in ("singular_values", "category_coords", "n_components"):
+            with pytest.raises(ValueError, match="positive and descending"):
+                getattr(model, read)
+        with pytest.raises(ValueError, match="positive and descending"):
+            fit(ind, components=1)

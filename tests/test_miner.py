@@ -288,6 +288,19 @@ class TestMine:
         assert by_label[1][0].rule == Rule.of([Literal(0, 1)])
         assert by_label[1][0].score == pytest.approx(1.0)
 
+    def test_full_rank_mining_makes_no_eigendecomposition(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        ds = random_dataset(rng, sizes=[2, 3, 2], n=60)
+        cfg = MinerConfig(r_max=3, s_min=0.1, mu_min=0.05, M=10)
+        expected = mine(ds, fit(build_indicator(ds)), cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert mine(ds, fit(build_indicator(ds)), cfg) == expected
+        assert expected.rules
+
     def test_impossible_support_yields_empty_status(self):
         ds = perfectly_correlated()
         model = fit(build_indicator(ds))
