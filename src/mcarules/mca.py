@@ -5,7 +5,9 @@ matrix Z is one-hot encoded. Correspondence analysis of Z, computed from its
 Burt matrix ZᵀZ, yields one principal-coordinate row per category. The cosine
 between a literal's row and a label's row is the literal-label score consumed
 by the rule miner; with every component kept it is the phi coefficient of the
-two indicator columns.
+two indicator columns. A full-rank fit is therefore just the exact integer
+Burt counts: its scores are read from them, and its coordinates are computed
+(by eigendecomposition) only when asked for.
 """
 
 from __future__ import annotations
@@ -119,6 +121,7 @@ class McaModel:
     def __post_init__(self):
         if np.any(self.column_counts <= 0):
             raise ValueError("column counts must be positive")
+        self.column_counts.setflags(write=False)
         self.gram.setflags(write=False)
 
     @cached_property
