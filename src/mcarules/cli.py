@@ -485,11 +485,9 @@ def cmd_predict(args) -> int:
     )
     probs = artifact.predict_proba(table)
     predictions = np.argmax(probs, axis=1)
-    header = ["prediction"] + [f"p_{name}" for name in artifact.label_names]
-    rows = [
-        [artifact.label_names[k]] + [float(p) for p in row]
-        for k, row in zip(predictions, probs)
-    ]
+    names = artifact.label_names
+    header = ["prediction"] + [f"p_{name}" for name in names]
+    rows = [[names[k], *row] for k, row in zip(predictions.tolist(), probs.tolist())]
     if args.out:
         write_csv(args.out, header, rows)
         print(f"wrote {len(rows)} predictions -> {args.out}")

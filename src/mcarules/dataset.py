@@ -9,9 +9,12 @@ load time, so literal indices are reproducible across runs.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import chain, islice
 from typing import ClassVar
 
 import numpy as np
@@ -138,24 +141,6 @@ class CategoricalDataset(FeatureTable):
     def label_counts(self) -> np.ndarray:
         return np.bincount(self.Y, minlength=self.n_labels)
 
-    def literal_mask(self, literal: Literal) -> np.ndarray:
-        """Boolean row mask where the literal holds."""
-        return self.X[:, literal.attribute] == literal.category
-
-    def describe_literal(self, literal: Literal) -> str:
-        schema = self.schemas[literal.attribute]
-        return f"{schema.name} is {schema.categories[literal.category]}"
-
-    def to_csv(self, path) -> None:
-        """Write the dataset back out as labelled CSV (category labels, not indices)."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([s.name for s in self.schemas] + [self.label_name])
-            for i in range(self.n):
-                row = [self.schemas[j].categories[self.X[i, j]] for j in range(self.p)]
-                row.append(self.label_names[self.Y[i]])
-                writer.writerow(row)
-
 
 def quantize_numeric(values, bins: int) -> np.ndarray:
     """Equal-frequency binning of ``values`` into ``bins`` categories.
@@ -241,29 +226,27 @@ def load_csv(
     into 2 or 3 categories; every other column keeps its observed distinct
     values as categories, ordered by first occurrence. Empty cells abort with
     a row-numbered error unless ``missing_as_category`` is set, in which case
-    the empty string becomes an explicit category.
+    the empty string becomes an explicit category. A leading UTF-8 byte-order
+    mark is dropped.
     """
     numeric_bins = dict(numeric_bins or {})
-    header, rows, lines = _read_header_rows(path)
-    if label_column not in header:
-        raise DatasetError(f"{path}: label column {label_column!r} not found")
-    if label_column in numeric_bins:
-        raise DatasetError("the label column cannot be quantized")
-    for col in numeric_bins:
-        if col not in header:
-            raise DatasetError(f"numeric column {col!r} not found in header")
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
-    if len(header) < 2:
-        raise DatasetError(f"{path}: no attribute columns besides the label")
-
-    cells = _strip_cells(path, header, rows, lines, missing_as_category)
-    label_pos = header.index(label_column)
-    attr_positions = [j for j in range(len(header)) if j != label_pos]
-    schemas, X = _encode_columns(path, header, cells, lines, attr_positions, numeric_bins)
-
-    raw_labels = [cells[i][label_pos] for i in range(len(cells))]
-    label_names, y = _first_occurrence_codes(raw_labels)
+    with _open_csv(path) as fh:
+        header, rows = _read_header(fh, path)
+        if label_column not in header:
+            raise DatasetError(f"{path}: label column {label_column!r} not found")
+        if label_column in numeric_bins:
+            raise DatasetError("the label column cannot be quantized")
+        for col in numeric_bins:
+            if col not in header:
+                raise DatasetError(f"numeric column {col!r} not found in header")
+        if rows is None:
+            raise DatasetError(f"{path}: no data rows")
+        if len(header) < 2:
+            raise DatasetError(f"{path}: no attribute columns besides the label")
+        columns = _read_columns(fh, path, header, rows, range(len(header)), missing_as_category)
+        labels = columns.pop(header.index(label_column))
+        schemas, X = _encode_columns(path, header, columns, numeric_bins, partial(_line_of, fh))
+    label_names, y = _first_occurrence_codes(labels)
     if len(label_names) < 2:
         raise DatasetError(f"{path}: label column {label_column!r} has a single class")
 
@@ -285,112 +268,176 @@ def load_feature_csv(
     """Load attribute columns only, skipping any column named in ``ignore_columns``.
 
     Same parsing rules as :func:`load_csv`, but no label is required, so this
-    is the ingestion path for prediction on unlabeled data.
+    is the ingestion path for prediction on unlabeled data. Cells of ignored
+    columns count toward the row width but may be empty.
     """
     numeric_bins = dict(numeric_bins or {})
-    header, rows, lines = _read_header_rows(path)
     ignore = set(ignore_columns)
-    for col in numeric_bins:
-        if col not in header:
-            raise DatasetError(f"numeric column {col!r} not found in header")
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
-    positions = [j for j, name in enumerate(header) if name not in ignore]
-    if not positions:
-        raise DatasetError(f"{path}: no attribute columns")
-
-    cells = _strip_cells(path, header, rows, lines, missing_as_category)
-    schemas, X = _encode_columns(path, header, cells, lines, positions, numeric_bins)
+    with _open_csv(path) as fh:
+        header, rows = _read_header(fh, path)
+        for col in numeric_bins:
+            if col not in header:
+                raise DatasetError(f"numeric column {col!r} not found in header")
+        if rows is None:
+            raise DatasetError(f"{path}: no data rows")
+        positions = [j for j, name in enumerate(header) if name not in ignore]
+        if not positions:
+            raise DatasetError(f"{path}: no attribute columns")
+        columns = _read_columns(fh, path, header, rows, positions, missing_as_category)
+        schemas, X = _encode_columns(path, header, columns, numeric_bins, partial(_line_of, fh))
     return FeatureTable(schemas=schemas, X=X)
 
 
-def _read_header_rows(path):
-    """Header, non-blank rows, and the file line number each row ends on."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: file is empty") from None
-        rows, lines = [], []
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
+def _open_csv(path):
+    """Open a CSV file for :mod:`csv`, dropping a leading UTF-8 byte-order mark.
+
+    The handle is seekable, so that an error can read the rows again to find
+    a bad row's line; input from a pipe is read into memory first.
+    """
+    fh = open(path, "r", newline="", encoding="utf-8-sig")
+    if fh.seekable():
+        return fh
+    with fh:
+        return io.StringIO(fh.read(), newline="")
+
+
+def _read_header(fh, path):
+    """Stripped header names, and the non-blank rows after them (None if there are none).
+
+    The rows are an iterator over the rest of ``fh``, so the file is read once.
+    """
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise DatasetError(f"{path}: file is empty")
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):
         raise DatasetError(f"{path}: duplicate column names in header")
-    return header, rows, lines
+    rows = filter(None, reader)
+    first = next(rows, None)
+    return header, None if first is None else chain([first], rows)
 
 
-def _strip_cells(path, header, rows, lines, missing_as_category) -> list[list[str]]:
-    cells: list[list[str]] = []
-    for lineno, row in zip(lines, rows):
-        if len(row) != len(header):
-            raise DatasetError(f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}")
-        row = [c.strip() for c in row]
-        for col_name, cell in zip(header, row):
-            if cell == "" and not missing_as_category:
+def _read_columns(fh, path, header, rows, positions, missing_as_category) -> dict[int, list[str]]:
+    """Stripped cells of the columns at ``positions``, keyed by position.
+
+    Every row must have one cell per header name, and no kept cell may be
+    empty unless ``missing_as_category`` is set. Both checks run on whole
+    columns, and the row lists are dropped on return. Only when a check
+    fails is ``fh`` read again, row by row, for the first bad row, so the
+    error names the row that a row-by-row check would.
+    """
+    rows = list(rows)
+    if set(map(len, rows)) != {len(header)}:
+        _raise_first_bad_row(fh, path, header, positions, missing_as_category)
+    keep = set(positions)
+    columns = {pos: list(map(str.strip, col)) for pos, col in enumerate(zip(*rows)) if pos in keep}
+    if not missing_as_category and not all(map(all, columns.values())):
+        _raise_first_bad_row(fh, path, header, positions, missing_as_category)
+    return columns
+
+
+def _raise_first_bad_row(fh, path, header, positions, missing_as_category):
+    """Raise for the first row, in file order, that :func:`_read_columns` refuses."""
+    width = len(header)
+    for line, row in _numbered_rows(fh):
+        if len(row) != width:
+            raise DatasetError(f"{path}: row {line} has {len(row)} cells, expected {width}")
+        for pos in positions:
+            if not missing_as_category and row[pos].strip() == "":
                 raise DatasetError(
-                    f"{path}: row {lineno} has an empty cell in column {col_name!r}; "
+                    f"{path}: row {line} has an empty cell in column {header[pos]!r}; "
                     "rerun with missing-as-category to keep such rows"
                 )
-        cells.append(row)
-    return cells
+    raise AssertionError("a failed column check found no bad row")
 
 
-def _encode_columns(path, header, cells, lines, positions, numeric_bins):
+def _numbered_rows(fh):
+    """Each non-blank data row of ``fh``, read again from the start, with its file line.
+
+    The line is the one the row ends on. Only error messages need it, so it
+    is found this way once a check has failed.
+    """
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    return ((reader.line_num, row) for row in reader if row)
+
+
+def _line_of(fh, i: int) -> int:
+    """The file line data row ``i`` of ``fh`` ends on."""
+    return next(islice(_numbered_rows(fh), i, None))[0]
+
+
+def _encode_columns(path, header, columns: dict[int, list[str]], numeric_bins, line_of):
+    """Encode ``columns`` in position order, freeing each column's cells as it goes.
+
+    ``line_of`` maps a row index to its file line, for error messages.
+    """
     schemas: list[AttributeSchema] = []
-    columns: list[np.ndarray] = []
-    for pos in positions:
+    codes: list[np.ndarray] = []
+    for pos in sorted(columns):
         name = header[pos]
-        raw = [cells[i][pos] for i in range(len(cells))]
-        schema, codes = encode_column(name, raw, numeric_bins.get(name), path, lines)
+        schema, column_codes = encode_column(
+            name, columns.pop(pos), numeric_bins.get(name), path, line_of
+        )
         schemas.append(schema)
-        columns.append(codes)
-    return tuple(schemas), np.column_stack(columns)
+        codes.append(column_codes)
+    return tuple(schemas), np.column_stack(codes)
 
 
-def _first_occurrence_codes(raw: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    order: dict[str, int] = {}
-    codes = np.empty(len(raw), dtype=np.int64)
-    for i, v in enumerate(raw):
-        if v not in order:
-            order[v] = len(order)
-        codes[i] = order[v]
-    return tuple(order), codes
+def _first_occurrence_codes(raw) -> tuple[tuple, np.ndarray]:
+    """Distinct values of ``raw`` in first-occurrence order, and each cell's index."""
+    lookup = {v: i for i, v in enumerate(dict.fromkeys(raw))}
+    codes = np.fromiter(map(lookup.__getitem__, raw), np.int64, count=len(raw))
+    return tuple(lookup), codes
 
 
-def encode_column(name: str, raw, bins: int | None = None, path=None, lines=None):
+def _parse_numeric(name: str, raw, path=None, line_of=None) -> np.ndarray:
+    """``raw`` cells parsed as reals; a bad cell raises a row-numbered error.
+
+    ``line_of(i)`` gives the file line of cell ``i`` (default: ``i + 1``)
+    and is called only to report a bad cell.
+    """
+    try:
+        return np.fromiter(map(float, raw), np.float64, count=len(raw))
+    except ValueError:
+        for i, cell in enumerate(raw):
+            try:
+                float(cell)
+            except ValueError:
+                line = i + 1 if line_of is None else line_of(i)
+                raise DatasetError(
+                    f"{path}: column {name!r} declared numeric but row {line} holds {cell!r}"
+                ) from None
+        raise
+
+
+def encode_column(name: str, raw, bins: int | None = None, path=None, line_of=None):
     """One column of cell strings as an attribute schema plus category codes.
 
     Without ``bins`` each distinct cell is a category. With ``bins`` the
     cells are parsed as reals and binned as by :func:`quantize_numeric`, each
     bin labelled by its interval. Either way the categories are the occupied
-    values in first-occurrence order. ``path`` and ``lines``, the file line
-    of each cell (default: its 1-based position in ``raw``), only locate a
-    bad cell in error messages.
+    values in first-occurrence order. ``path`` and ``line_of``, which maps a
+    cell's index to its file line (default: its 1-based position in ``raw``),
+    only locate a bad cell in error messages.
     """
     if bins is None:
         cats, codes = _first_occurrence_codes(raw)
         if len(cats) < 2:
             raise DatasetError(f"attribute {name!r} has a single observed value")
         return AttributeSchema(name=name, categories=cats, kind=KIND_CATEGORICAL), codes
-    values = np.empty(len(raw), dtype=np.float64)
-    for i, cell in enumerate(raw):
-        try:
-            values[i] = float(cell)
-        except ValueError:
-            raise DatasetError(
-                f"{path}: column {name!r} declared numeric but row "
-                f"{i + 1 if lines is None else lines[i]} holds {cell!r}"
-            ) from None
-    bin_codes, edges = _quantize(values, bins)
-    labels = _bin_labels(edges)
-    cats, codes = _first_occurrence_codes([labels[b] for b in bin_codes])
-    if len(cats) < 2:
+    bin_codes, edges = _quantize(_parse_numeric(name, raw, path, line_of), bins)
+    occupied, first = np.unique(bin_codes, return_index=True)
+    order = occupied[np.argsort(first)]
+    if order.size < 2:
         raise DatasetError(f"quantizing column {name!r} produced a single occupied bin")
-    return AttributeSchema(name=name, categories=cats, kind=KIND_QUANTIZED), codes
+    rank = np.empty(bins, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    labels = _bin_labels(edges)
+    cats = tuple(labels[b] for b in order)
+    return AttributeSchema(name=name, categories=cats, kind=KIND_QUANTIZED), rank[bin_codes]
 
 
 def stratified_kfold(dataset: CategoricalDataset, k: int, seed: int):

@@ -15,7 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import AttributeSchema, CategoricalDataset, DatasetError, encode_column
+from .dataset import (
+    AttributeSchema,
+    CategoricalDataset,
+    DatasetError,
+    _encode_columns,
+    _parse_numeric,
+)
 
 __all__ = ["titanic_dataset", "load_heart_csv", "HEART_COLUMNS"]
 
@@ -87,22 +93,20 @@ def load_heart_csv(path, bins: int = 3) -> CategoricalDataset:
                 f"{path}: row {lineno} has {len(row)} fields, expected "
                 f"{len(HEART_COLUMNS) + 1}"
             )
-    schemas = []
-    columns = []
-    for j, name in enumerate(HEART_COLUMNS):
-        raw = [row[j].strip() for row in table]
-        column_bins = bins if name in _HEART_CONTINUOUS else None
-        schema, codes = encode_column(name, raw, column_bins, path, lines)
-        schemas.append(schema)
-        columns.append(codes)
-    y = np.array(
-        [0 if float(row[-1]) == 0.0 else 1 for row in table], dtype=np.int64
+    if not table:
+        raise DatasetError(f"{path}: no data rows")
+    *columns, diagnosis = (list(map(str.strip, col)) for col in zip(*table))
+    numeric_bins = {name: bins for name in _HEART_CONTINUOUS}
+    schemas, X = _encode_columns(
+        path, HEART_COLUMNS, dict(enumerate(columns)), numeric_bins, lines.__getitem__
     )
+    grade = _parse_numeric("disease", diagnosis, path, lines.__getitem__)
+    y = (grade != 0.0).astype(np.int64)
     if np.unique(y).size < 2:
         raise DatasetError(f"{path}: diagnosis column has a single class")
     return CategoricalDataset(
-        schemas=tuple(schemas),
-        X=np.column_stack(columns),
+        schemas=schemas,
+        X=X,
         Y=y,
         label_names=("absent", "present"),
         label_name="disease",

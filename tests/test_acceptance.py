@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import write_dataset_csv
 from mcarules.apriori import AprioriConfig, apriori_mine
 from mcarules.benchmark import synthetic_dataset
 from mcarules.brl import BrlConfig, Evaluator, predict_proba_batch, run_chain, train
@@ -465,7 +466,7 @@ def run_pipeline(workdir: Path, csv_path: str) -> dict[str, bytes]:
 
 def test_criterion_9_artifact_determinism(tmp_path):
     csv_path = str(tmp_path / "survival.csv")
-    titanic_dataset().to_csv(csv_path)
+    write_dataset_csv(titanic_dataset(), csv_path)
     first = run_pipeline(tmp_path / "a", csv_path)
     second = run_pipeline(tmp_path / "b", csv_path)
     mismatched = [name for name in first if first[name] != second[name]]

@@ -10,8 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import write_dataset_csv
+from mcarules.artifacts import csv_text, read_model
 from mcarules.benchmark import synthetic_dataset
 from mcarules.cli import main
+from mcarules.dataset import load_feature_csv
 from mcarules.datasets import titanic_dataset
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -46,7 +49,7 @@ def workspace(tmp_path_factory):
 @pytest.fixture(scope="module")
 def titanic_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "titanic.csv"
-    titanic_dataset().to_csv(path)
+    write_dataset_csv(titanic_dataset(), path)
     return str(path)
 
 
@@ -343,10 +346,10 @@ class TestMine:
         # different last bit, and so in a different order, at 1 and 2 BLAS
         # threads; they are now computed from exact integer counts.
         table = tmp_path / "table.csv"
-        synthetic_dataset(
+        write_dataset_csv(synthetic_dataset(
             n=2000, n_attributes=300, n_categories=3,
             signal_fraction=0.1, signal_strength=0.8, seed=(0, 300, 0),
-        ).to_csv(table)
+        ), table)
         path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
         mined = []
         for threads in ("1", "2"):
@@ -469,6 +472,56 @@ class TestPredict:
         lines = open(out).read().strip().splitlines()
         assert lines[0] == "prediction,p_yes,p_no"
         assert len(lines) == 41
+
+    def test_rows_match_the_per_cell_float_expression(self, workspace, tmp_path):
+        held_out = tmp_path / "held_out.csv"
+        held_out.write_text("color,size\nred,big\nblue,small\nred,small\nblue,big\n")
+        out = tmp_path / "predictions.csv"
+        assert main(["predict", workspace["model"], str(held_out), "--out", str(out)]) == 0
+        artifact = read_model(workspace["model"])
+        probs = artifact.predict_proba(load_feature_csv(held_out))
+        expected = csv_text(
+            ["prediction"] + [f"p_{name}" for name in artifact.label_names],
+            [
+                [artifact.label_names[k]] + [float(p) for p in row]
+                for k, row in zip(np.argmax(probs, axis=1), probs)
+            ],
+        )
+        assert out.read_bytes() == expected.encode()
+
+    def test_ignored_label_column_may_have_empty_cells(self, workspace, tmp_path, capsys):
+        unlabelled = tmp_path / "unlabelled.csv"
+        unlabelled.write_text("color,size,label\nred,big,yes\nblue,small,\nred,big,\n")
+        assert main(["predict", workspace["model"], str(unlabelled)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        unlabelled.write_text("color,size,label\nred,big,yes\nblue,,\n")
+        assert main(["predict", workspace["model"], str(unlabelled)]) == 2
+        assert "row 3 has an empty cell in column 'size'" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    def test_piped_input_reports_the_bad_row(self, workspace):
+        # A pipe cannot be read twice, yet the line of a bad row is found by
+        # reading the rows again.
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for text in ("color,size\nred,big\nblue,small\n", "color,size\nred,big\n\nblue,\n"):
+            outputs.append(subprocess.run(
+                [sys.executable, "-m", "mcarules.cli", "predict", workspace["model"], "/dev/stdin"],
+                input=text, env=dict(os.environ, PYTHONPATH=path),
+                capture_output=True, text=True, timeout=120,
+            ))
+        good, bad = outputs
+        assert good.returncode == 0 and len(good.stdout.splitlines()) == 3
+        assert bad.returncode == 2
+        assert "row 4 has an empty cell in column 'size'" in bad.stderr
+
+    def test_byte_order_mark_before_the_header(self, workspace, tmp_path, capsys):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(workspace["toy"]).read_bytes())
+        assert main(["predict", workspace["model"], str(marked)]) == 0
+        with_mark = capsys.readouterr().out
+        assert main(["predict", workspace["model"], workspace["toy"]]) == 0
+        assert with_mark == capsys.readouterr().out
 
     def test_header_only_csv_is_data_error(self, workspace, tmp_path, capsys):
         csv = tmp_path / "empty.csv"

@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, quantile binning, and stratified folds."""
 
 import csv
+import io
 import math
 from fractions import Fraction
 
@@ -9,12 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import describe_literal, literal_mask, write_dataset_csv
 from mcarules.dataset import (
+    KIND_CATEGORICAL,
+    KIND_QUANTIZED,
     AttributeSchema,
     CategoricalDataset,
     DatasetError,
     FeatureTable,
     Literal,
+    _bin_labels,
+    _quantize,
     load_csv,
     load_feature_csv,
     quantize_numeric,
@@ -49,6 +55,103 @@ def write_csv(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def reference_load_csv(path, label_column, numeric_bins=None, missing_as_category=False):
+    """The row-by-row loader that the columnar :func:`load_csv` replaced.
+
+    Kept as the reference: it reads each row with its file line, strips and
+    checks every cell in row order, and encodes one cell at a time.
+    """
+    numeric_bins = dict(numeric_bins or {})
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DatasetError(f"{path}: file is empty") from None
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        raise DatasetError(f"{path}: duplicate column names in header")
+    if label_column not in header:
+        raise DatasetError(f"{path}: label column {label_column!r} not found")
+    if label_column in numeric_bins:
+        raise DatasetError("the label column cannot be quantized")
+    for col in numeric_bins:
+        if col not in header:
+            raise DatasetError(f"numeric column {col!r} not found in header")
+    if not rows:
+        raise DatasetError(f"{path}: no data rows")
+    if len(header) < 2:
+        raise DatasetError(f"{path}: no attribute columns besides the label")
+
+    cells = []
+    for lineno, row in zip(lines, rows):
+        if len(row) != len(header):
+            raise DatasetError(f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}")
+        row = [c.strip() for c in row]
+        for col_name, cell in zip(header, row):
+            if cell == "" and not missing_as_category:
+                raise DatasetError(
+                    f"{path}: row {lineno} has an empty cell in column {col_name!r}; "
+                    "rerun with missing-as-category to keep such rows"
+                )
+        cells.append(row)
+
+    def first_occurrence_codes(raw):
+        order = {}
+        codes = np.empty(len(raw), dtype=np.int64)
+        for i, v in enumerate(raw):
+            if v not in order:
+                order[v] = len(order)
+            codes[i] = order[v]
+        return tuple(order), codes
+
+    label_pos = header.index(label_column)
+    schemas, columns = [], []
+    for pos in range(len(header)):
+        if pos == label_pos:
+            continue
+        name, bins = header[pos], numeric_bins.get(header[pos])
+        raw = [cells[i][pos] for i in range(len(cells))]
+        if bins is None:
+            cats, codes = first_occurrence_codes(raw)
+            if len(cats) < 2:
+                raise DatasetError(f"attribute {name!r} has a single observed value")
+            schemas.append(AttributeSchema(name=name, categories=cats, kind=KIND_CATEGORICAL))
+            columns.append(codes)
+            continue
+        values = np.empty(len(raw), dtype=np.float64)
+        for i, cell in enumerate(raw):
+            try:
+                values[i] = float(cell)
+            except ValueError:
+                raise DatasetError(
+                    f"{path}: column {name!r} declared numeric but row {lines[i]} holds {cell!r}"
+                ) from None
+        bin_codes, edges = _quantize(values, bins)
+        labels = _bin_labels(edges)
+        cats, codes = first_occurrence_codes([labels[b] for b in bin_codes])
+        if len(cats) < 2:
+            raise DatasetError(f"quantizing column {name!r} produced a single occupied bin")
+        schemas.append(AttributeSchema(name=name, categories=cats, kind=KIND_QUANTIZED))
+        columns.append(codes)
+
+    label_names, y = first_occurrence_codes([row[label_pos] for row in cells])
+    if len(label_names) < 2:
+        raise DatasetError(f"{path}: label column {label_column!r} has a single class")
+    return CategoricalDataset(
+        schemas=tuple(schemas),
+        X=np.column_stack(columns),
+        Y=y,
+        label_names=label_names,
+        label_name=label_column,
+    )
 
 
 class TestQuantizeNumeric:
@@ -156,7 +259,7 @@ class TestCategoricalDataset:
 
     def test_literal_mask(self):
         ds = toy_dataset()
-        mask = ds.literal_mask(Literal(0, 1))
+        mask = literal_mask(ds, Literal(0, 1))
         assert mask.tolist() == [False, False, True, True, False, True]
 
     def test_matrices_are_read_only(self):
@@ -166,7 +269,7 @@ class TestCategoricalDataset:
 
     def test_describe_literal(self):
         ds = toy_dataset()
-        assert ds.describe_literal(Literal(1, 2)) == "size is l"
+        assert describe_literal(ds, Literal(1, 2)) == "size is l"
 
 
 class TestLoadCsv:
@@ -257,6 +360,13 @@ class TestLoadCsv:
         with pytest.raises(DatasetError, match=r"row 4 holds 'oops'"):
             load_feature_csv(path, numeric_bins={"x": 2})
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("label,color\nyes,red\nno,blue\n", encoding="utf-8-sig")
+        ds = load_csv(path, label_column="label")
+        assert ds.label_names == ("yes", "no")
+        assert load_feature_csv(path).schemas[0].name == "label"
+
     def test_four_row_binary_case(self, tmp_path):
         path = tmp_path / "tiny.csv"
         write_csv(path, ["a", "label"], [["x", "0"], ["y", "1"], ["x", "0"], ["y", "1"]])
@@ -264,6 +374,70 @@ class TestLoadCsv:
         assert (ds.n, ds.p) == (4, 1)
         assert ds.schemas[0].n_categories == 2
         assert ds.n_labels == 2
+
+
+HEADER_NAMES = ["a", " b ", "c,d", "é", 'q"t', "two\nlines", "label"]
+# Plain cells repeat so that most drawn rows load; the rest exercise quoting,
+# padding, non-ASCII text and empty cells.
+CATEGORY_CELLS = ["x", "y"] * 6 + [
+    " x ", "y ", "c,d", 'say "hi"', "two\nlines", "cr\r\nlf", "é", "日本",
+    "\u00a0x\u2003", "", "  ",
+]
+NUMERIC_CELLS = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from([" 1.5 ", "2e1", "1_0", "\u00a03", "nan", "inf", "oops", "", "  "]),
+)
+LABEL_CELLS = ["yes", "no"] * 4 + [" yes", "maybe,so", ""]
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text with quoted commas and newlines, blank lines, padding and bad rows."""
+    names = draw(st.lists(st.sampled_from(HEADER_NAMES), min_size=2, max_size=5, unique=True))
+    label = draw(st.sampled_from(names))
+    attributes = [name for name in names if name != label]
+    numeric = draw(st.lists(st.sampled_from(attributes), unique=True, max_size=2))
+    cells = {name: NUMERIC_CELLS if name in numeric else st.sampled_from(CATEGORY_CELLS)
+             for name in names}
+    cells[label] = st.sampled_from(LABEL_CELLS)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(names)
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            buffer.write(draw(st.sampled_from(["\n", "\r\n"])))
+        row = [draw(cells[name]) for name in names]
+        width = draw(st.sampled_from([0] * 40 + [-1, 1]))
+        writer.writerow(row[:width] if width < 0 else row + ["extra"] * width)
+    bins = {name.strip(): draw(st.sampled_from([2, 3])) for name in numeric}
+    return buffer.getvalue(), label.strip(), bins, draw(st.booleans())
+
+
+def load_outcome(loader, *args):
+    """A loader's dataset as comparable values, or the text of its DatasetError."""
+    try:
+        ds = loader(*args)
+    except DatasetError as exc:
+        return str(exc)
+    return ds.schemas, ds.X.tolist(), ds.Y.tolist(), ds.label_names
+
+
+class TestMatchesRowwiseLoader:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("rowwise") / "table.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_files())
+    def test_same_dataset_or_error_text(self, path, drawn):
+        text, label, bins, missing = drawn
+        path.write_text(text, encoding="utf-8", newline="")
+        expected = load_outcome(reference_load_csv, path, label, bins, missing)
+        assert load_outcome(load_csv, path, label, bins, missing) == expected
+        if isinstance(expected, tuple):
+            features = load_feature_csv(path, bins, missing, ignore_columns=(label,))
+            assert (features.schemas, features.X.tolist()) == expected[:2]
 
 
 class TestRoundTrip:
@@ -281,7 +455,7 @@ class TestRoundTrip:
         )
         first = load_csv(path, label_column="label")
         out = tmp_path / "again.csv"
-        first.to_csv(out)
+        write_dataset_csv(first, out)
         second = load_csv(out, label_column="label")
         assert second.schemas == first.schemas
         assert second.label_names == first.label_names
@@ -297,7 +471,7 @@ class TestRoundTrip:
         write_csv(path, ["x", "label"], rows)
         first = load_csv(path, label_column="label", numeric_bins={"x": 2})
         out = tmp_path / "again.csv"
-        first.to_csv(out)
+        write_dataset_csv(first, out)
         second = load_csv(out, label_column="label")
         assert second.schemas[0].name == first.schemas[0].name
         assert second.schemas[0].categories == first.schemas[0].categories

@@ -107,3 +107,19 @@ class TestHeartLoader:
         path.write_text("\n".join([first, "", "  ", second, third]) + "\n")
         with pytest.raises(DatasetError, match=r"'age' declared numeric but row 4 holds 'old'"):
             load_heart_csv(path)
+
+    def test_bad_diagnosis_error_names_its_file_line(self, tmp_path):
+        path = tmp_path / "heart.csv"
+        write_heart_fixture(path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][: lines[2].rindex(",")] + ",x"
+        # The blank line is skipped but still counts: the bad grade is on line 4.
+        path.write_text("\n".join([lines[0], ""] + lines[1:]) + "\n")
+        with pytest.raises(DatasetError, match=r"'disease' declared numeric but row 4 holds 'x'"):
+            load_heart_csv(path)
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "heart.csv"
+        path.write_text("\n")
+        with pytest.raises(DatasetError, match="no data rows"):
+            load_heart_csv(path)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import literal_mask
 from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
 from mcarules.mca import ScoreTable, ScoreUndefinedError, build_indicator, fit, score_table
 from mcarules.miner import (
@@ -132,7 +133,7 @@ def reference_mine(dataset, model, config):
             if not defined[flat]:
                 continue
             score = float(scores_k[flat])
-            supp = np.count_nonzero(dataset.literal_mask(lit) & class_mask) / class_count
+            supp = np.count_nonzero(literal_mask(dataset, lit) & class_mask) / class_count
             if score >= config.mu_min and supp >= config.s_min:
                 add(Rule.of([lit]), score, supp)
 
@@ -156,7 +157,7 @@ def reference_mine(dataset, model, config):
                     ) / len(child)
                     if child_score < working_mu:
                         continue
-                    hits = int(np.count_nonzero(parent_mask & dataset.literal_mask(lit) & class_mask))
+                    hits = int(np.count_nonzero(parent_mask & literal_mask(dataset, lit) & class_mask))
                     if hits / class_count < config.s_min:
                         continue
                     add(child, child_score, hits / class_count)
