@@ -11,8 +11,7 @@ clock.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,16 +36,16 @@ BENCH_HEADER = (
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """Grid and budgets for one benchmark run; the miner settings are a ``MinerConfig``'s."""
+    """Grid and budgets for one benchmark run, and the settings both miners share.
+
+    The level-wise baseline reads only ``miner.s_min`` and ``miner.r_max``.
+    """
 
     attribute_grid: tuple[int, ...] = (10, 50, 100)
     n: int = 500
     n_categories: int = 3
     repetitions: int = 1
-    r_max: int = MinerConfig.r_max
-    s_min: float = MinerConfig.s_min
-    mu_min: float = MinerConfig.mu_min
-    M: int = MinerConfig.M
+    miner: MinerConfig = field(default_factory=MinerConfig)
     components: int | None = None
     signal_fraction: float = 0.1
     signal_strength: float = 0.8
@@ -54,7 +53,6 @@ class BenchmarkConfig:
     time_budget: float = 300.0
 
     def __post_init__(self):
-        self.miner_config  # builds, and so validates, the miner settings
         if not self.attribute_grid or min(self.attribute_grid) < 1:
             raise ValueError("attribute grid must be non-empty and positive")
         if self.components is not None and self.components < 1:
@@ -71,10 +69,6 @@ class BenchmarkConfig:
             raise ValueError("signal_strength must lie in [0, 1]")
         if self.time_budget <= 0:
             raise ValueError("time_budget must be positive")
-
-    @cached_property
-    def miner_config(self) -> MinerConfig:
-        return MinerConfig(r_max=self.r_max, s_min=self.s_min, mu_min=self.mu_min, M=self.M)
 
 
 @dataclass(frozen=True)
@@ -126,7 +120,7 @@ def synthetic_dataset(
 def _time_mca(dataset, config: BenchmarkConfig, n_workers):
     start = time.perf_counter()
     model = fit(build_indicator(dataset), components=config.components)
-    result = mine(dataset, model, config.miner_config, n_workers=n_workers)
+    result = mine(dataset, model, config.miner, n_workers=n_workers)
     elapsed = time.perf_counter() - start
     return elapsed, result.status, len(result)
 
@@ -134,8 +128,9 @@ def _time_mca(dataset, config: BenchmarkConfig, n_workers):
 def _time_apriori(dataset, config: BenchmarkConfig):
     apriori_config = AprioriConfig(time_budget=config.time_budget)
     start = time.perf_counter()
+    miner = config.miner
     result = apriori_mine(
-        dataset, s_min=config.s_min, r_max=config.r_max, config=apriori_config
+        dataset, s_min=miner.s_min, r_max=miner.r_max, config=apriori_config
     )
     elapsed = time.perf_counter() - start
     return elapsed, result.status, len(result)

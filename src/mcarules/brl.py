@@ -520,11 +520,6 @@ def predict_proba_batch(rule_list: RuleList, X: np.ndarray) -> np.ndarray:
     return rule_list.row_probabilities(masks, X.shape[0])
 
 
-def predict(rule_list: RuleList, X: np.ndarray) -> np.ndarray:
-    """Most probable label per row; ties resolve to the lowest label index."""
-    return np.argmax(predict_proba_batch(rule_list, X), axis=1)
-
-
 def render_rule_list(rule_list: RuleList, schemas, label_names) -> str:
     """If/else-if/else text with each clause's top label and its probability.
 

@@ -14,20 +14,21 @@ Exit codes: 0 success, 1 usage error, 2 data or artifact error,
 
 Any flag can instead be supplied in a plain-text config file given with
 ``--config`` (one ``key = value`` per line, ``#`` comments); explicit
-flags win over file entries.
+flags win over file entries. A setting given neither way takes the default
+of the library config dataclass it belongs to (``MinerConfig``,
+``BrlConfig``, ``AprioriConfig``, ``BenchmarkConfig``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .apriori import AprioriConfig, apriori_mine
 from .artifacts import (
-    ArtifactError,
     atomic_write_text,
     csv_text,
     read_model,
@@ -45,7 +46,7 @@ from .benchmark import (
 )
 from .brl import BrlConfig, render_rule_list, train
 from .dataset import DatasetError, load_csv, load_feature_csv
-from .mca import ScoreUndefinedError, build_indicator, fit
+from .mca import build_indicator, fit
 from .metrics import accuracy, cohen_kappa, confusion_matrix, roc_auc
 from .miner import MinerConfig, mine
 
@@ -105,70 +106,32 @@ def _cfg_choice(key: str, choices):
     return convert
 
 
-def _cfg_converter(action: argparse.Action):
+def _cfg_converter(key: str, action: argparse.Action):
     """How a config-file string becomes the value the flag itself would give."""
     if isinstance(action, argparse._StoreTrueAction):
         return _cfg_bool
+    if isinstance(action, argparse._StoreFalseAction):
+        return lambda value: not _cfg_bool(value)
     if isinstance(action, argparse._AppendAction):
         return _cfg_bins
     if action.choices:
-        return _cfg_choice(action.dest, action.choices)
+        return _cfg_choice(key, action.choices)
     if action.type in (int, float):
         return _cfg_number(action.type)
     return str
 
 
-_MINER_DEFAULTS = {
-    "r_max": MinerConfig.r_max,
-    "s_min": MinerConfig.s_min,
-    "mu_min": MinerConfig.mu_min,
-    "top": MinerConfig.M,
-    "components": None,
-    "unsigned": not MinerConfig.signed,
-}
-
-_INGEST_DEFAULTS = {
-    "bins": [],
-    "missing_as_category": False,
-}
-
+# Defaults that belong to the command line itself. A flag whose dest names a
+# config dataclass field sets that field; left unset, the field keeps the
+# dataclass's own default.
 _DEFAULTS = {
-    "mine": {
-        **_INGEST_DEFAULTS,
-        **_MINER_DEFAULTS,
-        "algo": "mca",
-        "time_budget": 300.0,
-        "out": "rules.json",
-    },
-    "train": {
-        **_INGEST_DEFAULTS,
-        **_MINER_DEFAULTS,
-        "chains": BrlConfig.n_chains,
-        "lambda_": BrlConfig.lambda_,
-        "eta": BrlConfig.eta_card,
-        "alpha": BrlConfig.alpha,
-        "max_iters": BrlConfig.max_iters,
-        "check_interval": BrlConfig.check_interval,
-        "rhat": BrlConfig.rhat_threshold,
-        "seed": BrlConfig.seed,
-        "out": "model.json",
-    },
-    "predict": {**_INGEST_DEFAULTS},
-    "evaluate": {**_INGEST_DEFAULTS},
-    "render": {},
-    "benchmark": {
-        "grid": ",".join(map(str, BenchmarkConfig.attribute_grid)),
-        "n": BenchmarkConfig.n,
-        "categories": BenchmarkConfig.n_categories,
-        "reps": BenchmarkConfig.repetitions,
-        **_MINER_DEFAULTS,
-        "signal_fraction": BenchmarkConfig.signal_fraction,
-        "signal_strength": BenchmarkConfig.signal_strength,
-        "time_budget": BenchmarkConfig.time_budget,
-        "seed": BenchmarkConfig.seed,
-        "out": "bench.csv",
-    },
+    "mine": {"algo": "mca", "time_budget": 300.0, "out": "rules.json"},
+    "train": {"out": "model.json"},
+    "benchmark": {"out": "bench.csv"},
 }
+
+# What a pre-mined --rules file makes meaningless: the miner and its CA fit.
+_MINER_DESTS = {"components", *(f.name for f in fields(MinerConfig))}
 
 
 def _add_ingestion_flags(sub, with_label=True):
@@ -192,7 +155,7 @@ def _add_miner_flags(sub):
     sub.add_argument("--r-max", type=int, help="maximum literals per rule")
     sub.add_argument("--s-min", type=float, help="minimum per-label support")
     sub.add_argument("--mu-min", type=float, help="minimum mean cosine score")
-    sub.add_argument("--top", type=int, help="rules kept per label")
+    sub.add_argument("--top", dest="M", type=int, help="rules kept per label")
     sub.add_argument(
         "--components",
         type=int,
@@ -201,7 +164,8 @@ def _add_miner_flags(sub):
     )
     sub.add_argument(
         "--unsigned",
-        action="store_true",
+        dest="signed",
+        action="store_false",
         default=None,
         help="score literals by cosine magnitude instead of signed value",
     )
@@ -228,18 +192,24 @@ def build_parser():
     _add_ingestion_flags(train_p)
     _add_miner_flags(train_p)
     train_p.add_argument("--rules", help="pre-mined rules file (skips mining)")
-    train_p.add_argument("--chains", type=int, help="number of MCMC chains")
+    train_p.add_argument("--chains", dest="n_chains", type=int, help="number of MCMC chains")
     train_p.add_argument(
         "--lambda", dest="lambda_", type=float, help="prior expected list length"
     )
-    train_p.add_argument("--eta", type=float, help="prior expected rule cardinality")
+    train_p.add_argument(
+        "--eta", dest="eta_card", type=float, help="prior expected rule cardinality"
+    )
     train_p.add_argument("--alpha", type=float, help="Dirichlet pseudo-count")
     train_p.add_argument("--max-iters", type=int, help="iteration cap per chain")
     train_p.add_argument(
         "--check-interval", type=int, help="iterations between convergence checks"
     )
-    train_p.add_argument("--rhat", type=float, help="Gelman-Rubin stop threshold")
-    train_p.add_argument("--max-len", type=int, help="cap on rule-list length")
+    train_p.add_argument(
+        "--rhat", dest="rhat_threshold", type=float, help="Gelman-Rubin stop threshold"
+    )
+    train_p.add_argument(
+        "--max-len", dest="max_list_length", type=int, help="cap on rule-list length"
+    )
     train_p.add_argument("--seed", type=int, help="base RNG seed")
     train_p.add_argument("--threads", type=int, help="worker count (default: cores)")
     train_p.add_argument("--out", help="output model file (default model.json)")
@@ -269,10 +239,16 @@ def build_parser():
     bench_p = subparsers.add_parser(
         "benchmark", help="time both miners on synthetic data"
     )
-    bench_p.add_argument("--grid", help="attribute counts, e.g. 10,50,100")
+    bench_p.add_argument(
+        "--grid", dest="attribute_grid", help="attribute counts, e.g. 10,50,100"
+    )
     bench_p.add_argument("--n", type=int, help="rows per synthetic dataset")
-    bench_p.add_argument("--categories", type=int, help="categories per attribute")
-    bench_p.add_argument("--reps", type=int, help="repetitions per grid point")
+    bench_p.add_argument(
+        "--categories", dest="n_categories", type=int, help="categories per attribute"
+    )
+    bench_p.add_argument(
+        "--reps", dest="repetitions", type=int, help="repetitions per grid point"
+    )
     _add_miner_flags(bench_p)
     bench_p.add_argument(
         "--signal-fraction", type=float, help="fraction of label-linked attributes"
@@ -286,18 +262,19 @@ def build_parser():
     bench_p.add_argument("--out", help="output CSV (default bench.csv)")
     bench_p.add_argument("--config", help="key=value config file; flags win")
 
-    converters = {
-        name: {
-            action.dest: _cfg_converter(action)
-            for action in sub._actions
-            if action.option_strings and action.dest not in ("help", "config")
-        }
-        for name, sub in subparsers.choices.items()
+    return parser, subparsers.choices
+
+
+def _config_keys(sub) -> dict[str, argparse.Action]:
+    """The flags a config file may set, keyed by long flag name with ``_`` for ``-``."""
+    return {
+        action.option_strings[-1][2:].replace("-", "_"): action
+        for action in sub._actions
+        if action.option_strings and action.dest not in ("help", "config")
     }
-    return parser, converters
 
 
-def _merge_config_file(args, converters: dict) -> None:
+def _merge_config_file(args, options: dict) -> None:
     if getattr(args, "config", None) is None:
         return
     try:
@@ -315,20 +292,13 @@ def _merge_config_file(args, converters: dict) -> None:
             )
         key, value = (part.strip() for part in text.split("=", 1))
         key = key.replace("-", "_")
-        if key == "lambda":
-            key = "lambda_"
-        if key not in converters:
+        if key not in options:
             raise UsageError(
                 f"{args.config}:{lineno}: unknown key {key!r} for this subcommand"
             )
-        if getattr(args, key) is None:
-            setattr(args, key, converters[key](value))
-
-
-def _fill_defaults(args, defaults: dict) -> None:
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+        action = options[key]
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, _cfg_converter(key, action)(value))
 
 
 def _parse_bins(entries) -> dict[str, int]:
@@ -346,26 +316,30 @@ def _parse_bins(entries) -> dict[str, int]:
     return bins
 
 
+def _ingest_options(args) -> dict:
+    return {
+        "numeric_bins": _parse_bins(args.bins),
+        "missing_as_category": bool(args.missing_as_category),
+    }
+
+
 def _load_labeled(args):
     if args.label is None:
         raise UsageError("--label is required")
-    return load_csv(
-        args.csv,
-        args.label,
-        numeric_bins=_parse_bins(args.bins),
-        missing_as_category=args.missing_as_category,
-    )
+    return load_csv(args.csv, args.label, **_ingest_options(args))
 
 
-def _build_miner_config(args) -> MinerConfig:
+def _config(cls, args, **settings):
+    """A ``cls`` from ``settings`` and the fields of ``cls`` the user set.
+
+    Each field left unset takes the dataclass's own default.
+    """
+    for f in fields(cls):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            settings.setdefault(f.name, value)
     try:
-        return MinerConfig(
-            r_max=args.r_max,
-            s_min=args.s_min,
-            mu_min=args.mu_min,
-            M=args.top,
-            signed=not args.unsigned,
-        )
+        return cls(**settings)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -376,23 +350,6 @@ def _fit_scores(dataset, args):
     return fit(build_indicator(dataset), components=args.components)
 
 
-def _build_brl_config(args) -> BrlConfig:
-    try:
-        return BrlConfig(
-            lambda_=args.lambda_,
-            eta_card=args.eta,
-            alpha=args.alpha,
-            n_chains=args.chains,
-            max_iters=args.max_iters,
-            check_interval=args.check_interval,
-            rhat_threshold=args.rhat,
-            seed=args.seed,
-            max_list_length=args.max_len,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 # Flags that one mining algorithm reads and the other would silently ignore.
 _FOREIGN_MINE_FLAGS = {
     "mca": {"time_budget"},
@@ -401,29 +358,26 @@ _FOREIGN_MINE_FLAGS = {
 
 
 def cmd_mine(args) -> int:
-    foreign = args.explicit_keys & _FOREIGN_MINE_FLAGS[args.algo]
+    foreign = args.given.keys() & _FOREIGN_MINE_FLAGS[args.algo]
     if foreign:
         flags = ", ".join("--" + key.replace("_", "-") for key in sorted(foreign))
         raise UsageError(f"--algo {args.algo} does not use {flags}")
-    config = _build_miner_config(args)
+    config = _config(MinerConfig, args)
     dataset = _load_labeled(args)
     if args.algo == "mca":
         model = _fit_scores(dataset, args)
         result = mine(dataset, model, config, n_workers=args.threads)
         record = {"algo": "mca", "components": args.components, **asdict(config)}
     else:
-        try:
-            budget = AprioriConfig(time_budget=args.time_budget)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        budget = _config(AprioriConfig, args)
         result = apriori_mine(
-            dataset, s_min=args.s_min, r_max=args.r_max, config=budget
+            dataset, s_min=config.s_min, r_max=config.r_max, config=budget
         )
         record = {
             "algo": "apriori",
-            "r_max": args.r_max,
-            "s_min": args.s_min,
-            "time_budget": args.time_budget,
+            "r_max": config.r_max,
+            "s_min": config.s_min,
+            "time_budget": budget.time_budget,
         }
     write_rules(args.out, result, dataset, record)
     print(f"mined {len(result)} rules ({result.status}) -> {args.out}")
@@ -432,18 +386,18 @@ def cmd_mine(args) -> int:
 
 def cmd_train(args) -> int:
     if args.rules is not None:
-        overridden = args.explicit_keys & set(_MINER_DEFAULTS)
+        overridden = {key for key, dest in args.given.items() if dest in _MINER_DESTS}
         if overridden:
             raise UsageError(
                 "--rules and miner flags are mutually exclusive "
                 f"(got {', '.join(sorted(overridden))})"
             )
     dataset = _load_labeled(args)
-    brl_config = _build_brl_config(args)
+    brl_config = _config(BrlConfig, args)
     if args.rules is not None:
         mined = read_rules(args.rules, dataset)
     else:
-        miner_config = _build_miner_config(args)
+        miner_config = _config(MinerConfig, args)
         model = _fit_scores(dataset, args)
         mined = mine(dataset, model, miner_config, n_workers=args.threads)
     rules = tuple(sr.rule for sr in mined.rules)
@@ -478,10 +432,7 @@ def cmd_predict(args) -> int:
     if args.label:
         ignore.add(args.label)
     table = load_feature_csv(
-        args.csv,
-        numeric_bins=_parse_bins(args.bins),
-        missing_as_category=args.missing_as_category,
-        ignore_columns=tuple(sorted(ignore)),
+        args.csv, ignore_columns=tuple(sorted(ignore)), **_ingest_options(args)
     )
     probs = artifact.predict_proba(table)
     predictions = np.argmax(probs, axis=1)
@@ -509,12 +460,7 @@ def _confusion_text(counts: np.ndarray, names) -> str:
 def cmd_evaluate(args) -> int:
     artifact = read_model(args.model)
     label = args.label or artifact.label_name
-    dataset = load_csv(
-        args.csv,
-        label,
-        numeric_bins=_parse_bins(args.bins),
-        missing_as_category=args.missing_as_category,
-    )
+    dataset = load_csv(args.csv, label, **_ingest_options(args))
     mapping = []
     for name in dataset.label_names:
         if name not in artifact.label_names:
@@ -564,28 +510,14 @@ def cmd_render(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    try:
-        grid = tuple(int(part) for part in str(args.grid).split(",") if part.strip())
-    except ValueError:
-        raise UsageError(f"--grid expects integers like 10,50,100, got {args.grid!r}")
-    try:
-        config = BenchmarkConfig(
-            attribute_grid=grid,
-            n=args.n,
-            n_categories=args.categories,
-            repetitions=args.reps,
-            r_max=args.r_max,
-            s_min=args.s_min,
-            mu_min=args.mu_min,
-            M=args.top,
-            components=args.components,
-            signal_fraction=args.signal_fraction,
-            signal_strength=args.signal_strength,
-            seed=args.seed,
-            time_budget=args.time_budget,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    grid = {}
+    if args.attribute_grid is not None:
+        text = args.attribute_grid
+        try:
+            grid["attribute_grid"] = tuple(int(p) for p in text.split(",") if p.strip())
+        except ValueError:
+            raise UsageError(f"--grid expects integers like 10,50,100, got {text!r}")
+    config = _config(BenchmarkConfig, args, miner=_config(MinerConfig, args), **grid)
 
     def progress(row):
         print(
@@ -612,7 +544,7 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser, converters = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -622,25 +554,23 @@ def main(argv=None) -> int:
         print("error: a subcommand is required", file=sys.stderr)
         return EXIT_USAGE
     try:
-        _merge_config_file(args, converters[args.subcommand])
-        args.explicit_keys = {
-            key for key in converters[args.subcommand]
-            if getattr(args, key) is not None
+        options = _config_keys(commands[args.subcommand])
+        _merge_config_file(args, options)
+        # The settings the user gave, as a flag or a config entry: key -> dest.
+        args.given = {
+            key: action.dest for key, action in options.items()
+            if getattr(args, action.dest) is not None
         }
-        _fill_defaults(args, _DEFAULTS[args.subcommand])
+        for dest, value in _DEFAULTS.get(args.subcommand, {}).items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
         if getattr(args, "threads", None) is not None and args.threads < 1:
             raise UsageError("--threads must be a positive integer")
         return _HANDLERS[args.subcommand](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetError, ArtifactError, ScoreUndefinedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # the data, artifact and score errors too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

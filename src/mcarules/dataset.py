@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -288,17 +289,40 @@ def load_feature_csv(
     return FeatureTable(schemas=schemas, X=X)
 
 
+@contextmanager
 def _open_csv(path):
     """Open a CSV file for :mod:`csv`, dropping a leading UTF-8 byte-order mark.
 
     The handle is seekable, so that an error can read the rows again to find
-    a bad row's line; input from a pipe is read into memory first.
+    a bad row's line; input from a pipe is read into memory first. Bytes that
+    are not UTF-8, and rows the :mod:`csv` module refuses (such as a cell over
+    its field size limit), raise a :class:`DatasetError` naming the file.
     """
-    fh = open(path, "r", newline="", encoding="utf-8-sig")
-    if fh.seekable():
-        return fh
-    with fh:
-        return io.StringIO(fh.read(), newline="")
+    try:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+            if not fh.seekable():
+                fh = io.StringIO(fh.read(), newline="")
+            try:
+                yield fh
+            except csv.Error as exc:
+                raise DatasetError(f"{path}: line {_csv_error_line(fh)}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(
+            f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8; "
+            "the file must be UTF-8 text"
+        ) from None
+
+
+def _csv_error_line(fh) -> int:
+    """The file line on which reading ``fh`` again from the start raises :class:`csv.Error`."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    try:
+        for _ in reader:
+            pass
+    except csv.Error:
+        return reader.line_num
+    raise AssertionError("a csv error did not recur on reading the file again")
 
 
 def _read_header(fh, path):

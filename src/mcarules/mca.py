@@ -144,10 +144,6 @@ class McaModel:
     def n_components(self) -> int:
         return self.category_coords.shape[1]
 
-    @property
-    def column_masses(self) -> np.ndarray:
-        return self.column_counts / int(self.column_counts.sum())
-
 
 def _principal_coordinates(K: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column principal coordinates and singular values from the centred Burt matrix.

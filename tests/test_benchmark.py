@@ -12,6 +12,7 @@ from mcarules.benchmark import (
     summarize,
     synthetic_dataset,
 )
+from mcarules.miner import MinerConfig
 
 
 class TestSyntheticDataset:
@@ -69,7 +70,8 @@ class TestBenchmarkHarness:
 
     def test_tiny_grid_produces_rows(self):
         config = BenchmarkConfig(
-            attribute_grid=(2, 4), n=80, repetitions=1, M=10, time_budget=30.0
+            attribute_grid=(2, 4), n=80, repetitions=1, miner=MinerConfig(M=10),
+            time_budget=30.0,
         )
         rows = run_benchmark(config, n_workers=1)
         assert len(rows) == 4
@@ -80,12 +82,14 @@ class TestBenchmarkHarness:
             assert r.status in ("ok", "empty", "budget_exceeded")
 
     def test_single_attribute_grid_fast(self):
-        config = BenchmarkConfig(attribute_grid=(1,), n=80, M=5)
+        config = BenchmarkConfig(attribute_grid=(1,), n=80, miner=MinerConfig(M=5))
         rows = run_benchmark(config, n_workers=1)
         assert all(r.seconds < 1.0 for r in rows)
 
     def test_progress_callback_sees_every_row(self):
-        config = BenchmarkConfig(attribute_grid=(2,), n=50, repetitions=2, M=5)
+        config = BenchmarkConfig(
+            attribute_grid=(2,), n=50, repetitions=2, miner=MinerConfig(M=5)
+        )
         seen = []
         rows = run_benchmark(config, n_workers=1, progress=seen.append)
         assert seen == rows
@@ -105,7 +109,9 @@ class TestBenchmarkHarness:
 
         for name in ("_time_mca", "_time_apriori"):
             monkeypatch.setattr(benchmark, name, counted(name))
-        config = BenchmarkConfig(attribute_grid=(3, 5), n=50, repetitions=2, M=5)
+        config = BenchmarkConfig(
+            attribute_grid=(3, 5), n=50, repetitions=2, miner=MinerConfig(M=5)
+        )
         rows = run_benchmark(config, n_workers=1)
         assert [(r.attributes, r.repetition, r.miner) for r in rows] == [
             (p, rep, miner)
@@ -126,7 +132,7 @@ class TestBenchmarkHarness:
         assert len(BENCH_HEADER) == 6
 
     def test_summary_mentions_each_point(self):
-        config = BenchmarkConfig(attribute_grid=(2,), n=50, M=5)
+        config = BenchmarkConfig(attribute_grid=(2,), n=50, miner=MinerConfig(M=5))
         rows = run_benchmark(config, n_workers=1)
         text = summarize(rows)
         assert "mca" in text and "apriori" in text

@@ -20,7 +20,6 @@ from mcarules.brl import (
     first_match,
     gelman_rubin,
     log_posterior,
-    predict,
     predict_proba_batch,
     propose,
     render_rule_list,
@@ -604,8 +603,6 @@ class TestPrediction:
         np.testing.assert_allclose(batch.sum(axis=1), np.ones(1000), atol=1e-12)
         for i in range(0, 1000, 97):
             np.testing.assert_allclose(batch[i], predict_proba(fitted, X[i]))
-        labels = predict(fitted, X)
-        np.testing.assert_array_equal(labels, np.argmax(batch, axis=1))
 
 
 class TestRender:

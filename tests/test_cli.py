@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,13 @@ import pytest
 
 from helpers import write_dataset_csv
 from mcarules.artifacts import csv_text, read_model
+from mcarules import benchmark, cli
 from mcarules.benchmark import synthetic_dataset
+from mcarules.brl import BrlConfig
 from mcarules.cli import main
 from mcarules.dataset import load_feature_csv
 from mcarules.datasets import titanic_dataset
+from mcarules.miner import MinerConfig
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -291,6 +295,50 @@ class TestConfigFile:
         assert kinds == ["quantized-numeric", "quantized-numeric"]
 
 
+def spy_on_mine(monkeypatch, module):
+    """Replace ``module.mine`` with a pass-through that records each config."""
+    seen = []
+    real = module.mine
+
+    def spy(dataset, model, config, **kwargs):
+        seen.append(config)
+        return real(dataset, model, config, **kwargs)
+
+    monkeypatch.setattr(module, "mine", spy)
+    return seen
+
+
+class TestDefaults:
+    """A setting given neither as a flag nor in a file takes its dataclass default."""
+
+    def test_mine_records_miner_config_defaults(self, workspace, tmp_path):
+        out = tmp_path / "rules.json"
+        assert main(["mine", workspace["toy"], "--label", "label", "--out", str(out)]) == 0
+        record = json.loads(out.read_text())["miner_config"]
+        assert record == {"algo": "mca", "components": None, **asdict(MinerConfig())}
+
+    def test_apriori_records_miner_floors_and_time_budget(self, workspace, tmp_path):
+        out = tmp_path / "rules.json"
+        argv = ["mine", workspace["toy"], "--label", "label", "--algo", "apriori"]
+        assert main(argv + ["--out", str(out)]) == 0
+        record = json.loads(out.read_text())["miner_config"]
+        defaults = MinerConfig()
+        assert record == {
+            "algo": "apriori", "r_max": defaults.r_max, "s_min": defaults.s_min,
+            "time_budget": 300.0,
+        }
+
+    def test_train_records_sampler_and_miner_defaults(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        seen = spy_on_mine(monkeypatch, cli)
+        out = tmp_path / "model.json"
+        argv = ["train", workspace["toy"], "--label", "label", "--threads", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert seen == [MinerConfig()]
+        assert json.loads(out.read_text())["brl_config"] == asdict(BrlConfig())
+
+
 class TestMine:
     def test_writes_rules_artifact(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "rules.json")
@@ -534,6 +582,48 @@ class TestPredict:
         assert main(["predict", str(bad), workspace["toy"]]) == 2
 
 
+class TestUnreadableCsv:
+    """Input the csv module or the UTF-8 decoder refuses is a data error naming the file."""
+
+    OVERSIZED = ("color,size,label\nred,big,yes\nblue," + "x" * 140_000 + ",no\n").encode()
+    LATIN_1 = "color,size,label\nred,big,yes\nbleu,caf\u00e9,no\n".encode("latin-1")
+
+    def argv(self, workspace, subcommand, path):
+        if subcommand == "mine":
+            return ["mine", path, "--label", "label", "--out", path + ".json"]
+        return ["predict", workspace["model"], path]
+
+    @pytest.mark.parametrize("subcommand", ["mine", "predict"])
+    def test_cell_over_field_limit(self, workspace, tmp_path, capsys, subcommand):
+        data = tmp_path / "big.csv"
+        data.write_bytes(self.OVERSIZED)
+        assert main(self.argv(workspace, subcommand, str(data))) == 2
+        err = capsys.readouterr().err
+        assert f"{data}: line 3: field larger than field limit" in err
+
+    @pytest.mark.parametrize("subcommand", ["mine", "predict"])
+    def test_bytes_not_utf8(self, workspace, tmp_path, capsys, subcommand):
+        data = tmp_path / "latin.csv"
+        data.write_bytes(self.LATIN_1)
+        assert main(self.argv(workspace, subcommand, str(data))) == 2
+        assert f"{data}: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+    @pytest.mark.parametrize("text, message", [
+        (OVERSIZED, "/dev/stdin: line 3: field larger than field limit"),
+        (LATIN_1, "/dev/stdin: byte 0xe9 is not UTF-8"),
+    ], ids=["oversized", "latin-1"])
+    def test_piped_input(self, workspace, text, message):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcarules.cli", "predict", workspace["model"], "/dev/stdin"],
+            input=text, env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert message in proc.stderr.decode()
+
+
 class TestEvaluate:
     def test_prints_metrics_and_confusion(self, workspace, capsys):
         code = main(["evaluate", workspace["model"], workspace["toy"]])
@@ -630,3 +720,19 @@ class TestBenchmark:
         assert lines[0] == "attributes,miner,repetition,seconds,status,n_rules"
         assert len(lines) == 3  # one grid point, both miners
         assert {line.split(",")[1] for line in lines[1:]} == {"mca", "apriori"}
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_unsigned_reaches_the_miner(self, tmp_path, monkeypatch, capsys, from_file):
+        seen = spy_on_mine(monkeypatch, benchmark)
+        argv = [
+            "benchmark", "--grid", "3", "--n", "60", "--categories", "2",
+            "--time-budget", "30", "--threads", "1", "--out", str(tmp_path / "bench.csv"),
+        ]
+        if from_file:
+            cfg = tmp_path / "bench.cfg"
+            cfg.write_text("unsigned = true\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv.append("--unsigned")
+        assert main(argv) == 0
+        assert seen and all(config.signed is False for config in seen)

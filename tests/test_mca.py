@@ -146,7 +146,7 @@ class TestFit:
         model = fit(build_indicator(ds))
         V = (
             model.category_coords
-            * np.sqrt(model.column_masses)[:, None]
+            * np.sqrt(model.column_counts / model.column_counts.sum())[:, None]
             / model.singular_values[None, :]
         )
         np.testing.assert_allclose(V.T @ V, np.eye(model.n_components), atol=1e-8)
