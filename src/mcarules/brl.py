@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import getitem
 
 import numpy as np
 from scipy.special import gammaln
@@ -87,9 +89,9 @@ def first_match(masks, remaining: np.ndarray) -> list[np.ndarray]:
 class BrlConfig:
     """Prior constants, chain layout, and the convergence stop.
 
-    ``max_list_length`` caps how many rules a state may hold (default: no cap
-    beyond the mined-rule count). With a single chain the Gelman-Rubin stop
-    is unavailable and training runs to ``max_iters``.
+    ``max_list_length`` caps how many rules a state may hold; it must be at
+    least 1 (default: no cap beyond the mined-rule count). With a single chain
+    the Gelman-Rubin stop is unavailable and training runs to ``max_iters``.
     """
 
     lambda_: float = 3.0
@@ -113,8 +115,8 @@ class BrlConfig:
             raise ValueError("max_iters and check_interval must be positive")
         if self.rhat_threshold <= 1:
             raise ValueError("rhat_threshold must exceed 1")
-        if self.max_list_length is not None and self.max_list_length < 0:
-            raise ValueError("max_list_length cannot be negative")
+        if self.max_list_length is not None and self.max_list_length < 1:
+            raise ValueError("max_list_length must be at least 1")
 
     def resolve_alpha(self, n_labels: int) -> np.ndarray:
         alpha = np.asarray(self.alpha, dtype=np.float64)
@@ -123,19 +125,6 @@ class BrlConfig:
         if alpha.shape != (n_labels,):
             raise ValueError(f"alpha must be scalar or length {n_labels}")
         return alpha
-
-
-@dataclass(frozen=True, eq=False)
-class ChainTrace:
-    """One chain's history: unthinned scalar trace plus thinned state samples."""
-
-    log_post: np.ndarray
-    states: tuple[tuple[int, tuple[int, ...]], ...]
-    accepted: int
-    chain_seed: int
-
-    def __len__(self) -> int:
-        return self.log_post.size
 
 
 @dataclass(frozen=True)
@@ -162,6 +151,10 @@ class Evaluator:
     with zero bits to the same word count. ``packed[i, k]`` holds the label-k
     rows rule i matches and ``label_rows[k]`` every label-k row, so a
     clause's label counts are popcounts of its captured words.
+
+    The log-prior and the log-likelihood are each the correctly rounded sum
+    (``math.fsum``) of one term per position or clause, so their values do
+    not depend on the order in which the terms are added.
     """
 
     def __init__(self, dataset: CategoricalDataset, mined_rules, config: BrlConfig):
@@ -186,7 +179,6 @@ class Evaluator:
 
         self.packed = np.stack([pack(rule_mask(r, dataset.X)) for r in self.rules])
         self.label_rows = pack(np.ones(n, dtype=bool))
-        self.cards = np.array([len(r) for r in self.rules])
         self.n_rules = len(self.rules)
         self.max_len = self.n_rules
         if config.max_list_length is not None:
@@ -194,60 +186,95 @@ class Evaluator:
 
         lam = config.lambda_
         lengths = np.arange(self.max_len + 1)
-        log_pois = lengths * math.log(lam) - gammaln(lengths + 1)
-        self._log_len_prior = log_pois - _logsumexp(log_pois)
+        log_pois = (lengths * math.log(lam) - gammaln(lengths + 1)).tolist()
+        z_len = _logsumexp(log_pois)
+        self._log_len_prior = [v - z_len for v in log_pois]
 
-        self._card_values = np.unique(self.cards)
-        self._card_totals = {
-            int(c): int(np.sum(self.cards == c)) for c in self._card_values
-        }
+        cards, rank = np.unique([len(r) for r in self.rules], return_inverse=True)
+        self._card_rank = rank.tolist()
+        self._card_totals = np.bincount(rank).tolist()
         eta = config.eta_card
-        self._log_card_weight = {
-            int(c): c * math.log(eta) - math.lgamma(c + 1) for c in self._card_values
-        }
+        self._log_card_weight = [
+            c * math.log(eta) - math.lgamma(c + 1) for c in cards.tolist()
+        ]
+        z = _logsumexp(self._log_card_weight)
+        # A position's prior term while every cardinality is in stock, by its
+        # cardinality and how many rules of it earlier positions hold.
+        self._card_terms = [
+            [weight - z - math.log(total - used) for used in range(total)]
+            for weight, total in zip(self._log_card_weight, self._card_totals)
+        ]
+        # Log-gamma tables for the likelihood: a clause holds at most every
+        # row of a label, and at most n rows in all.
+        self._lgamma_label = [
+            array("d", gammaln(np.arange(r.size + 1) + a).tobytes())
+            for r, a in zip(rows, self.alpha)
+        ]
+        self._lgamma_total = array(
+            "d", gammaln(np.arange(n + 1) + self.alpha.sum()).tobytes()
+        )
         self._log_beta_alpha = float(
             np.sum(gammaln(self.alpha)) - gammaln(self.alpha.sum())
         )
 
     def capture(self, indices) -> np.ndarray:
         """Label counts captured per clause of the state; last row is the default."""
-        captured = first_match([self.packed[i] for i in indices], self.label_rows)
-        return np.bitwise_count(np.array(captured)).sum(axis=-1, dtype=np.int64)
+        return self._counts(
+            first_match([self.packed[i] for i in indices], self.label_rows)
+        )
 
     def log_likelihood(self, counts: np.ndarray) -> float:
-        smoothed = counts + self.alpha[None, :]
-        per_clause = gammaln(smoothed).sum(axis=1) - gammaln(smoothed.sum(axis=1))
-        return float(per_clause.sum() - counts.shape[0] * self._log_beta_alpha)
+        """Log-likelihood of per-clause label counts of this evaluator's rows."""
+        return math.fsum(self._clause_terms(counts))
 
     def log_prior(self, indices) -> float:
-        m = len(indices)
-        if m > self.max_len:
+        if len(indices) > self.max_len:
             return -math.inf
-        total = self._log_len_prior[m]
-        in_stock = dict(self._card_totals)
-        for idx in indices:
-            card = int(self.cards[idx])
-            # Cardinality normalizer runs over cardinalities still in stock.
-            z = _logsumexp_list(
-                [self._log_card_weight[c] for c, left in in_stock.items() if left > 0]
-            )
-            total += self._log_card_weight[card] - z
-            total -= math.log(in_stock[card])
-            in_stock[card] -= 1
-        return float(total)
+        return math.fsum(self._prior_terms(indices))
 
     def log_posterior(self, indices) -> float:
         return self.log_prior(indices) + self.log_likelihood(self.capture(indices))
 
+    def _counts(self, captured) -> np.ndarray:
+        return np.bitwise_count(np.array(captured)).sum(axis=-1, dtype=np.int64)
 
-def _logsumexp(values: np.ndarray) -> float:
-    top = float(np.max(values))
-    return top + math.log(float(np.sum(np.exp(values - top))))
+    def _clause_terms(self, counts) -> list[float]:
+        """Each clause's Dirichlet-multinomial log-likelihood, from its label counts."""
+        terms = []
+        for row in np.asarray(counts).tolist():
+            terms.append(
+                sum(map(getitem, self._lgamma_label, row))
+                - self._lgamma_total[sum(row)] - self._log_beta_alpha
+            )
+        return terms
+
+    def _prior_terms(self, indices) -> list[float]:
+        """The length term, then each position's cardinality and rule draw."""
+        terms = [self._log_len_prior[len(indices)]]
+        used = [0] * len(self._card_totals)
+        z = None  # the normaliser over cardinalities in stock, once one ran out
+        for i in indices:
+            rank = self._card_rank[i]
+            k = used[rank]
+            total = self._card_totals[rank]
+            if z is None:
+                terms.append(self._card_terms[rank][k])
+            else:
+                terms.append(self._log_card_weight[rank] - z - math.log(total - k))
+            used[rank] = k + 1
+            if k + 1 == total:
+                in_stock = [
+                    w for w, u, t in
+                    zip(self._log_card_weight, used, self._card_totals) if u < t
+                ]
+                if in_stock:  # otherwise every rule is placed and no draw follows
+                    z = _logsumexp(in_stock)
+        return terms
 
 
-def _logsumexp_list(values) -> float:
+def _logsumexp(values: list[float]) -> float:
     top = max(values)
-    return top + math.log(sum(math.exp(v - top) for v in values))
+    return top + math.log(math.fsum([math.exp(v - top) for v in values]))
 
 
 def log_posterior(rule_list, dataset, mined_rules, config) -> float:
@@ -294,12 +321,16 @@ def propose(state, mined_rules, rng, max_list_length=None):
     move = moves[int(rng.integers(len(moves)))]
 
     if move == INSERT:
-        unused = sorted(set(range(n_rules)) - set(state))
-        rule = unused[int(rng.integers(len(unused)))]
+        n_unused = n_rules - m
+        rule = int(rng.integers(n_unused))
+        for used in sorted(state):  # step up to the rule-th unused index
+            if used > rule:
+                break
+            rule += 1
         pos = int(rng.integers(m + 1))
         candidate = state[:pos] + (rule,) + state[pos:]
         reverse_moves = _valid_moves(m + 1, n_rules, max_len)
-        log_ratio = math.log(len(moves) * len(unused)) - math.log(len(reverse_moves))
+        log_ratio = math.log(len(moves) * n_unused) - math.log(len(reverse_moves))
     elif move == REMOVE:
         pos = int(rng.integers(m))
         candidate = state[:pos] + state[pos + 1:]
@@ -329,13 +360,55 @@ class _ChainState:
     iteration: int
 
 
+class _Prefix:
+    """One chain's current state, kept so that a move recomputes only what it changes.
+
+    ``remaining[j]`` holds the packed words of the rows that no clause before
+    clause j captures, and ``terms[j]`` clause j's likelihood term; the last
+    entry of each belongs to the default clause. A move that keeps the first
+    p rules reuses ``remaining[p]`` and ``terms[:p]``. Log-posteriors are
+    correctly rounded sums, so the result has the bits of
+    :meth:`Evaluator.log_posterior`.
+    """
+
+    def __init__(self, evaluator: Evaluator, state):
+        self.evaluator = evaluator
+        self.state: tuple[int, ...] = ()
+        self.remaining = [evaluator.label_rows]
+        self.terms: list[float] = []
+        self.accept(self.score(state)[1])
+
+    def score(self, candidate):
+        """The candidate's log-posterior, and the move that :meth:`accept` takes."""
+        ev = self.evaluator
+        first = min(len(self.state), len(candidate))
+        for j, (a, b) in enumerate(zip(self.state, candidate)):
+            if a != b:
+                first = j
+                break
+        captured = first_match(
+            [ev.packed[i] for i in candidate[first:]], self.remaining[first]
+        )
+        terms = self.terms[:first] + ev._clause_terms(ev._counts(captured))
+        log_post = ev.log_prior(candidate) + math.fsum(terms)
+        return log_post, (candidate, first, captured, terms)
+
+    def accept(self, move) -> None:
+        candidate, first, captured, terms = move
+        remaining = self.remaining[:first + 1]
+        for hit in captured[:-1]:
+            remaining.append(remaining[-1] ^ hit)
+        self.state, self.remaining, self.terms = candidate, remaining, terms
+
+
 def _advance(evaluator: Evaluator, chain: _ChainState, n_iters: int):
     """Run ``n_iters`` Metropolis-Hastings steps, returning the new snapshot.
 
     Thinned states come as ``(iteration, state, log_post)`` triples.
     """
     rng = chain.rng
-    state = chain.indices
+    # Rebuilt per segment rather than kept in the snapshot, which is pickled.
+    current = _Prefix(evaluator, chain.indices)
     current_lp = chain.log_post
     trace = np.empty(n_iters)
     states = []
@@ -343,19 +416,19 @@ def _advance(evaluator: Evaluator, chain: _ChainState, n_iters: int):
     for step in range(n_iters):
         iteration = chain.iteration + step + 1
         candidate, log_q = propose(
-            state, evaluator.rules, rng, evaluator.config.max_list_length
+            current.state, evaluator.rules, rng, evaluator.config.max_list_length
         )
-        candidate_lp = evaluator.log_posterior(candidate)
+        candidate_lp, move = current.score(candidate)
         log_accept = candidate_lp - current_lp + log_q
         if log_accept >= 0 or rng.random() < math.exp(log_accept):
-            state = candidate
+            current.accept(move)
             current_lp = candidate_lp
             accepted += 1
         trace[step] = current_lp
         if iteration % THIN == 0:
-            states.append((iteration, state, current_lp))
+            states.append((iteration, current.state, current_lp))
     snapshot = _ChainState(
-        indices=state, log_post=current_lp, rng=rng,
+        indices=current.state, log_post=current_lp, rng=rng,
         iteration=chain.iteration + n_iters,
     )
     return snapshot, trace, states, accepted
@@ -372,22 +445,9 @@ def _fresh_chain(evaluator: Evaluator, chain_seed: int) -> _ChainState:
     )
 
 
-def run_chain(dataset, mined_rules, config: BrlConfig, chain_seed: int) -> ChainTrace:
-    """One full-length chain, recording the scalar trace and thinned states."""
-    evaluator = Evaluator(dataset, mined_rules, config)
-    chain = _fresh_chain(evaluator, chain_seed)
-    _, trace, states, accepted = _advance(evaluator, chain, config.max_iters)
-    return ChainTrace(
-        log_post=trace,
-        states=tuple((iteration, state) for iteration, state, _ in states),
-        accepted=accepted,
-        chain_seed=chain_seed,
-    )
-
-
 def gelman_rubin(traces) -> float:
     """Potential scale reduction of the second halves of the scalar traces."""
-    arrays = [np.asarray(t.log_post if isinstance(t, ChainTrace) else t) for t in traces]
+    arrays = [np.asarray(t) for t in traces]
     if len(arrays) < 2:
         raise ValueError("need at least two chains")
     length = arrays[0].size

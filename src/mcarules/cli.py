@@ -208,7 +208,8 @@ def build_parser():
         "--rhat", dest="rhat_threshold", type=float, help="Gelman-Rubin stop threshold"
     )
     train_p.add_argument(
-        "--max-len", dest="max_list_length", type=int, help="cap on rule-list length"
+        "--max-len", dest="max_list_length", type=int,
+        help="cap on rule-list length, at least 1 (default: no cap)",
     )
     train_p.add_argument("--seed", type=int, help="base RNG seed")
     train_p.add_argument("--threads", type=int, help="worker count (default: cores)")

@@ -1,6 +1,15 @@
-"""Dataset helpers that only the tests use: literal masks and text, CSV writing."""
+"""Helpers that only the tests use: literal masks and text, CSV writing, a
+whole sampler chain, and the sampler's term-by-term log-posterior."""
 
 import csv
+import math
+from collections import Counter
+
+import numpy as np
+from scipy.special import gammaln, logsumexp
+
+from mcarules.brl import Evaluator, _advance, _fresh_chain
+from mcarules.miner import rule_mask
 
 
 def literal_mask(dataset, literal):
@@ -22,3 +31,54 @@ def write_dataset_csv(dataset, path) -> None:
             row = [dataset.schemas[j].categories[dataset.X[i, j]] for j in range(dataset.p)]
             row.append(dataset.label_names[dataset.Y[i]])
             writer.writerow(row)
+
+
+def run_chain(dataset, mined_rules, config, chain_seed):
+    """One chain of ``config.max_iters`` steps.
+
+    Returns its unthinned log-posterior trace, its thinned
+    ``(iteration, state)`` pairs and its count of accepted moves.
+    """
+    evaluator = Evaluator(dataset, mined_rules, config)
+    chain = _fresh_chain(evaluator, chain_seed)
+    _, trace, states, accepted = _advance(evaluator, chain, config.max_iters)
+    return trace, tuple((iteration, state) for iteration, state, _ in states), accepted
+
+
+def reference_log_posterior(dataset, mined_rules, config, indices) -> float:
+    """The log-posterior of a state, each sum taken term by term in list order.
+
+    This is the sampler's formula before its sums were made exact, computed
+    from the rows and rules alone.
+    """
+    n_rules = len(mined_rules)
+    max_len = n_rules if config.max_list_length is None else min(
+        n_rules, config.max_list_length)
+    m = len(indices)
+    if m > max_len:
+        return -math.inf
+    lengths = np.arange(max_len + 1)
+    log_pois = lengths * math.log(config.lambda_) - gammaln(lengths + 1)
+    total = log_pois[m] - logsumexp(log_pois)
+    cards = [len(rule) for rule in mined_rules]
+    in_stock = Counter(cards)
+    weight = {c: c * math.log(config.eta_card) - math.lgamma(c + 1) for c in in_stock}
+    for i in indices:
+        card = cards[i]
+        z = logsumexp([weight[c] for c, left in in_stock.items() if left > 0])
+        total += weight[card] - z
+        total -= math.log(in_stock[card])
+        in_stock[card] -= 1
+
+    alpha = config.resolve_alpha(dataset.n_labels)
+    remaining = np.ones(dataset.n, dtype=bool)
+    counts = []
+    for i in indices:
+        hit = rule_mask(mined_rules[i], dataset.X) & remaining
+        counts.append(np.bincount(dataset.Y[hit], minlength=dataset.n_labels))
+        remaining &= ~hit
+    counts.append(np.bincount(dataset.Y[remaining], minlength=dataset.n_labels))
+    smoothed = np.array(counts) + alpha
+    per_clause = gammaln(smoothed).sum(axis=1) - gammaln(smoothed.sum(axis=1))
+    log_beta = np.sum(gammaln(alpha)) - gammaln(alpha.sum())
+    return float(total + per_clause.sum() - len(counts) * log_beta)

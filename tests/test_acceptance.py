@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import write_dataset_csv
+from helpers import run_chain, write_dataset_csv
 from mcarules.apriori import AprioriConfig, apriori_mine
 from mcarules.benchmark import synthetic_dataset
-from mcarules.brl import BrlConfig, Evaluator, predict_proba_batch, run_chain, train
+from mcarules.brl import BrlConfig, Evaluator, predict_proba_batch, train
 from mcarules.cli import main
 from mcarules.dataset import (
     AttributeSchema,
@@ -305,8 +305,8 @@ def test_criterion_4_sampler_matches_enumerated_posterior():
     start = time.perf_counter()
     counts = Counter()
     for seed in (0, 1):
-        trace = run_chain(ds, rules, config, chain_seed=seed)
-        for iteration, state in trace.states:
+        _, samples, _ = run_chain(ds, rules, config, chain_seed=seed)
+        for iteration, state in samples:
             if iteration > config.max_iters // 2:
                 counts[state] += 1
     elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 """Tests for the rule-list posterior, proposals, chains, and diagnostics."""
 
+import json
 import math
 import tempfile
 from collections import Counter
@@ -11,19 +12,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_log_posterior, run_chain
 from mcarules.artifacts import read_model, write_model
 from mcarules.brl import (
     BrlConfig,
     Evaluator,
     RuleList,
     TrainDiagnostics,
+    _Prefix,
     first_match,
     gelman_rubin,
     log_posterior,
     predict_proba_batch,
     propose,
     render_rule_list,
-    run_chain,
     train,
 )
 from mcarules.dataset import AttributeSchema, CategoricalDataset, FeatureTable, Literal
@@ -278,6 +280,20 @@ class TestLogPosterior:
         assert ev.log_prior((0, 1)) == -math.inf
 
 
+class TestBrlConfig:
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_list_length_cap_below_one_rejected(self, cap):
+        # No move leaves the empty list when the cap is 0.
+        with pytest.raises(ValueError, match="max_list_length"):
+            BrlConfig(max_list_length=cap)
+
+    def test_list_length_cap_of_one_trains(self):
+        ds = informative_dataset(np.random.default_rng(6), n=30)
+        cfg = BrlConfig(n_chains=1, max_iters=50, max_list_length=1)
+        fitted, _ = train(ds, all_single_literal_rules(ds), cfg, n_workers=1)
+        assert len(fitted) <= 1
+
+
 class TestPropose:
     def test_empty_state_only_inserts(self):
         rng = np.random.default_rng(0)
@@ -328,6 +344,101 @@ class TestPropose:
                     math.log(q_rev) - math.log(q_fwd), abs=1e-12
                 )
 
+    def test_draw_stream_is_pinned(self):
+        # 200 proposals recorded from the set-difference implementation: two
+        # walks that always move, one uncapped over 12 rules, one capped at
+        # 3 over 7. The candidate and the ratio at every step must repeat.
+        pins = json.loads((Path(__file__).parent / "propose_pins.json").read_text())
+        got = []
+        for seed, n_rules, cap in ((20, 12, None), (21, 7, 3)):
+            rng = np.random.default_rng(seed)
+            state = ()
+            for _ in range(100):
+                state, log_ratio = propose(state, list(range(n_rules)), rng, cap)
+                got.append([list(state), log_ratio])
+        assert got == pins
+
+
+def exhaustible_case(n, seed, empty_label):
+    """``packing_case`` plus its only three-literal rule, so a cardinality
+    can run out: 7 rules of one literal, 6 of two and 1 of three."""
+    ds, rules = packing_case(n, seed, empty_label)
+    return ds, rules + [Rule.of([Literal(0, 1), Literal(1, 2), Literal(2, 0)])]
+
+
+class TestExactSums:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 150),
+        seed=st.integers(0, 2**32 - 1),
+        empty_label=st.sampled_from([None, 0, 2]),
+        cap=st.sampled_from([None, 1, 2, 4, 9]),
+        alpha=st.sampled_from([1.0, (0.5, 1.0, 2.5)]),
+    )
+    @example(n=64, seed=0, empty_label=None, cap=None, alpha=1.0)
+    def test_carried_value_is_the_full_recompute(self, n, seed, empty_label, cap, alpha):
+        ds, rules = exhaustible_case(n, seed, empty_label)
+        ev = Evaluator(ds, rules, BrlConfig(max_list_length=cap, alpha=alpha))
+        current = _Prefix(ev, ())
+        rng = np.random.default_rng(seed)
+        moves = Counter()
+        for _ in range(120):
+            # Half the proposals ignore the cap, so that the -inf of an
+            # over-long list is carried too.
+            bound = cap if rng.random() < 0.5 else None
+            candidate, _ = propose(current.state, rules, rng, bound)
+            moves[len(candidate) - len(current.state)] += 1
+            value, move = current.score(candidate)
+            assert value == ev.log_posterior(candidate)
+            if value > -math.inf and rng.random() < 0.6:
+                current.accept(move)
+                assert current.state == candidate
+        if cap != 1:
+            assert moves[1] and moves[-1] and moves[0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 10),
+        lambda_=st.sampled_from([0.5, 3.0, 8.0]),
+        eta=st.sampled_from([0.3, 1.0, 2.0]),
+    )
+    def test_prior_ignores_order_while_no_cardinality_runs_out(
+        self, seed, size, lambda_, eta
+    ):
+        ds, rules = packing_case(20, seed, None)
+        ev = Evaluator(ds, rules, BrlConfig(lambda_=lambda_, eta_card=eta))
+        rng = np.random.default_rng(seed)
+        # At most 6 one-literal and 5 two-literal rules: each leaves one in stock.
+        ones = [i for i, r in enumerate(rules) if len(r) == 1]
+        twos = [i for i, r in enumerate(rules) if len(r) == 2]
+        k = int(rng.integers(max(0, size - 5), min(size, 6) + 1))
+        state = [int(i) for i in rng.choice(ones, size=k, replace=False)]
+        state += [int(i) for i in rng.choice(twos, size=size - k, replace=False)]
+        value = ev.log_prior(tuple(state))
+        for _ in range(5):
+            assert ev.log_prior(tuple(int(i) for i in rng.permutation(state))) == value
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 150),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 14),
+        cap=st.sampled_from([None, 3, 14]),
+        alpha=st.sampled_from([1.0, (0.5, 1.0, 2.5)]),
+        lambda_=st.sampled_from([0.5, 3.0]),
+    )
+    def test_close_to_the_term_by_term_sum(self, n, seed, size, cap, alpha, lambda_):
+        ds, rules = exhaustible_case(n, seed, None)
+        cfg = BrlConfig(max_list_length=cap, alpha=alpha, lambda_=lambda_)
+        state = tuple(int(i) for i in np.random.default_rng(seed).permutation(14)[:size])
+        got = Evaluator(ds, rules, cfg).log_posterior(state)
+        want = reference_log_posterior(ds, rules, cfg, state)
+        if want == -math.inf:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
 
 class TestDetailedBalance:
     def test_flow_balance_over_tiny_space(self):
@@ -375,24 +486,26 @@ class TestRunChain:
         ds = informative_dataset(rng, n=40)
         rules = all_single_literal_rules(ds)
         cfg = BrlConfig(max_iters=500, max_list_length=3)
-        a = run_chain(ds, rules, cfg, chain_seed=7)
-        b = run_chain(ds, rules, cfg, chain_seed=7)
-        np.testing.assert_array_equal(a.log_post, b.log_post)
-        assert a.states == b.states
-        assert a.accepted == b.accepted
+        trace, states, accepted = run_chain(ds, rules, cfg, chain_seed=7)
+        again = run_chain(ds, rules, cfg, chain_seed=7)
+        np.testing.assert_array_equal(trace, again[0])
+        assert states == again[1]
+        assert accepted == again[2]
 
     def test_states_respect_cap_and_thinning(self):
         rng = np.random.default_rng(13)
         ds = informative_dataset(rng, n=40)
         rules = all_single_literal_rules(ds)
         cfg = BrlConfig(max_iters=400, max_list_length=2)
-        trace = run_chain(ds, rules, cfg, chain_seed=1)
+        trace, states, _ = run_chain(ds, rules, cfg, chain_seed=1)
         assert len(trace) == 400
-        assert len(trace.states) == 40
-        for iteration, state in trace.states:
+        assert len(states) == 40
+        ev = Evaluator(ds, rules, cfg)
+        for iteration, state in states:
             assert iteration % 10 == 0
             assert len(state) <= 2
             assert len(set(state)) == len(state)
+            assert trace[iteration - 1] == ev.log_posterior(state)
 
     def test_empirical_frequencies_match_enumerated_posterior(self):
         rng = np.random.default_rng(14)
@@ -405,8 +518,8 @@ class TestRunChain:
         pi = dict(zip(states, exact_posterior(ev, states)))
         counts = Counter()
         for seed in (0, 1):
-            trace = run_chain(ds, rules, cfg, chain_seed=seed)
-            for iteration, state in trace.states:
+            _, samples, _ = run_chain(ds, rules, cfg, chain_seed=seed)
+            for iteration, state in samples:
                 if iteration > cfg.max_iters // 2:
                     counts[state] += 1
         total = sum(counts.values())

@@ -69,6 +69,16 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
         assert "mine" in capsys.readouterr().out
 
+    def test_package_runs_as_a_module(self):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcarules", "--help"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0
+        assert "mine" in proc.stdout
+
     def test_missing_label(self, workspace, capsys):
         assert main(["mine", workspace["toy"]]) == 1
         assert "--label" in capsys.readouterr().err
@@ -118,6 +128,22 @@ class TestUsageErrors:
             argv += ["--threads", value]
         assert main(argv) == 1
         assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_max_len_must_be_positive(self, workspace, tmp_path, capsys, from_file, value):
+        out = tmp_path / "model.json"
+        argv = ["train", workspace["toy"], "--label", "label", "--rules", workspace["rules"],
+                "--out", str(out)]
+        if from_file:
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text(f"max-len = {value}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--max-len", value]
+        assert main(argv) == 1
+        assert "max_list_length must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rules_file_excludes_miner_flags(self, workspace, capsys):
