@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -54,18 +53,13 @@ def apriori_mine(
     config = config or AprioriConfig()
     started = time.monotonic()
 
-    flat_of = {}
-    literal_of = {}
-    for j, schema in enumerate(dataset.schemas):
-        for cat in range(schema.n_categories):
-            flat = len(flat_of)
-            flat_of[(j, cat)] = flat
-            literal_of[flat] = Literal(j, cat)
-
-    transactions = [
-        frozenset(flat_of[(j, int(dataset.X[i, j]))] for j in range(dataset.p))
-        for i in range(dataset.n)
-    ]
+    offsets = dataset.literal_offsets
+    literal_of = {
+        int(offsets[j]) + cat: Literal(j, cat)
+        for j, schema in enumerate(dataset.schemas)
+        for cat in range(schema.n_categories)
+    }
+    transactions = [frozenset(row) for row in (dataset.X + offsets[:-1]).tolist()]
     row_labels = [int(y) for y in dataset.Y]
     class_counts = dataset.label_counts()
     n_labels = dataset.n_labels
@@ -92,7 +86,7 @@ def apriori_mine(
         return False
 
     frequent = {}  # itemset tuple -> per-label match counts
-    total_candidates = len(flat_of)
+    total_candidates = len(literal_of)
     budget_hit = out_of_budget(total_candidates)
     if not budget_hit:
         singles = [(flat,) for flat in sorted(literal_of)]

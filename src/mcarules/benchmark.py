@@ -54,13 +54,13 @@ class BenchmarkConfig:
 
     def __post_init__(self):
         if not self.attribute_grid or min(self.attribute_grid) < 1:
-            raise ValueError("attribute grid must be non-empty and positive")
+            raise ValueError("attribute_grid must be non-empty and positive")
         if self.components is not None and self.components < 1:
             raise ValueError("components must be a positive integer")
         if self.n < 4:
-            raise ValueError("need at least 4 rows")
+            raise ValueError("n must be at least 4")
         if self.n_categories < 2:
-            raise ValueError("need at least 2 categories per attribute")
+            raise ValueError("n_categories must be at least 2")
         if self.repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         if not 0 <= self.signal_fraction <= 1:

@@ -277,20 +277,6 @@ def _logsumexp(values: list[float]) -> float:
     return top + math.log(math.fsum([math.exp(v - top) for v in values]))
 
 
-def log_posterior(rule_list, dataset, mined_rules, config) -> float:
-    """Log posterior (up to a constant) of a rule list over the mined set."""
-    rules = tuple(rule_list.rules) if isinstance(rule_list, RuleList) else tuple(rule_list)
-    evaluator = Evaluator(dataset, mined_rules, config)
-    index_of = {rule: i for i, rule in enumerate(evaluator.rules)}
-    try:
-        indices = tuple(index_of[r] for r in rules)
-    except KeyError as missing:
-        raise ValueError(f"rule {missing.args[0]!r} is not in the mined set") from None
-    if len(set(indices)) != len(indices):
-        raise ValueError("rule list repeats a rule")
-    return evaluator.log_posterior(indices)
-
-
 INSERT, REMOVE, SWAP = "insert", "remove", "swap"
 
 

@@ -22,6 +22,7 @@ of the library config dataclass it belongs to (``MinerConfig``,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import asdict, fields
 
@@ -291,8 +292,8 @@ def _merge_config_file(args, options: dict) -> None:
             raise UsageError(
                 f"{args.config}:{lineno}: expected 'key = value', got {text!r}"
             )
-        key, value = (part.strip() for part in text.split("=", 1))
-        key = key.replace("-", "_")
+        written, value = (part.strip() for part in text.split("=", 1))
+        key = written.replace("-", "_")
         if key not in options:
             raise UsageError(
                 f"{args.config}:{lineno}: unknown key {key!r} for this subcommand"
@@ -300,6 +301,7 @@ def _merge_config_file(args, options: dict) -> None:
         action = options[key]
         if getattr(args, action.dest) is None:
             setattr(args, action.dest, _cfg_converter(key, action)(value))
+            args.named[action.dest] = written
 
 
 def _parse_bins(entries) -> dict[str, int]:
@@ -333,7 +335,9 @@ def _load_labeled(args):
 def _config(cls, args, **settings):
     """A ``cls`` from ``settings`` and the fields of ``cls`` the user set.
 
-    Each field left unset takes the dataclass's own default.
+    Each field left unset takes the dataclass's own default. A rejected
+    value is reported under the name the user gave it: its flag, or its
+    config-file key.
     """
     for f in fields(cls):
         value = getattr(args, f.name, None)
@@ -342,7 +346,9 @@ def _config(cls, args, **settings):
     try:
         return cls(**settings)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        names = {f.name: args.named.get(f.name, f.name) for f in fields(cls)}
+        message = re.sub(r"\w+", lambda word: names.get(word[0], word[0]), str(exc))
+        raise UsageError(message) from None
 
 
 def _fit_scores(dataset, args):
@@ -556,6 +562,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         options = _config_keys(commands[args.subcommand])
+        # How each setting is named to the user: its flag, or its key as
+        # written in the config file when the file set it.
+        args.named = {action.dest: action.option_strings[-1] for action in options.values()}
         _merge_config_file(args, options)
         # The settings the user gave, as a flag or a config entry: key -> dest.
         args.given = {

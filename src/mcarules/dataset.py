@@ -14,7 +14,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain, islice
 from typing import ClassVar
 
@@ -99,6 +99,13 @@ class FeatureTable:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def literal_offsets(self) -> np.ndarray:
+        """p+1 cumulative category counts; literal ``offsets[j] + c`` is "X[:, j] == c"."""
+        offsets = np.cumsum([0] + [s.n_categories for s in self.schemas])
+        offsets.setflags(write=False)
+        return offsets
 
     def attribute_index(self, name: str) -> int:
         try:

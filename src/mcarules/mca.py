@@ -27,38 +27,14 @@ class ScoreUndefinedError(ValueError):
     """A requested score involves a degenerate (zero-norm or absent) coordinate row."""
 
 
-@dataclass(frozen=True)
-class ColumnOwner:
-    """Provenance of one indicator column: which attribute (or the label) and category.
-
-    ``attribute`` is the 0-based attribute index, or ``None`` when the column
-    belongs to the label.
-    """
-
-    attribute: int | None
-    category: int
-    name: str
-    category_label: str
-
-    @property
-    def is_label(self) -> bool:
-        return self.attribute is None
-
-
 @dataclass(frozen=True, eq=False)
 class IndicatorMatrix:
     """One-hot encoding of attributes plus label; rows sum to p+1."""
 
     matrix: np.ndarray
-    owners: tuple[ColumnOwner, ...]
-    dropped: tuple[ColumnOwner, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[1] != len(self.owners):
-            raise ValueError("indicator shape does not match column owners")
-        m.setflags(write=False)
+        self.matrix.setflags(write=False)
 
     @property
     def n_columns(self) -> int:
@@ -68,34 +44,24 @@ class IndicatorMatrix:
 def build_indicator(dataset: CategoricalDataset) -> IndicatorMatrix:
     """One-hot encode every attribute column and the label column.
 
-    Categories that never occur (possible on row subsets) are dropped from
-    the matrix and recorded in ``dropped``. The ones are written into a
-    category-major buffer, one row per kept category, whose transpose is
-    the matrix.
+    Column ``literal_offsets[j] + c`` holds flat literal "attribute j takes
+    category c" and column ``n_literals + k`` holds label k, where
+    ``n_literals = literal_offsets[-1]``. A category or label that never
+    occurs (possible on row subsets) keeps its column, all zeros. The ones
+    are written one column at a time into a category-major buffer, one row
+    per column, whose transpose is the matrix.
     """
-    columns = [
-        (dataset.X[:, j], schema.n_categories,
-         lambda cat, j=j, s=schema: ColumnOwner(j, cat, s.name, s.categories[cat]))
-        for j, schema in enumerate(dataset.schemas)
-    ]
-    columns.append((
-        dataset.Y, dataset.n_labels,
-        lambda cat: ColumnOwner(None, cat, dataset.label_name, dataset.label_names[cat]),
-    ))
-    presence = [np.bincount(codes, minlength=size) > 0 for codes, size, _ in columns]
-    owners: list[ColumnOwner] = []
-    dropped: list[ColumnOwner] = []
+    offsets = dataset.literal_offsets
     n = dataset.n
-    buffer = np.zeros((sum(int(p.sum()) for p in presence), n))
+    buffer = np.zeros((int(offsets[-1]) + dataset.n_labels, n))
     flat, rows = buffer.reshape(-1), np.arange(n)
-    for (codes, size, make_owner), present in zip(columns, presence):
-        # Each row's one sits at its category's buffer row times n, plus the row.
-        position = ((len(owners) - 1 + np.cumsum(present)) * n)[codes]
+    # The label's columns start where the literals end, at offsets[-1].
+    for codes, start in zip([*dataset.X.T, dataset.Y], offsets.tolist()):
+        # Each row's one sits at its column's buffer row times n, plus the row.
+        position = (codes + start) * n
         position += rows
         flat[position] = 1.0
-        for cat, kept in enumerate(present.tolist()):
-            (owners if kept else dropped).append(make_owner(cat))
-    return IndicatorMatrix(matrix=buffer.T, owners=tuple(owners), dropped=tuple(dropped))
+    return IndicatorMatrix(matrix=buffer.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,23 +70,22 @@ class McaModel:
 
     ``gram`` holds the row cosines the miner scores with: the integer centred
     Burt matrix K = n·ZᵀZ − f fᵀ (``fit``) when every component is kept, else
-    ``coords @ coordsᵀ``. ``category_coords[i]`` is the principal-coordinate
-    row of ``owners[i]``; attribute categories and label categories live in
-    the same space, so row cosines are directly comparable. ``truncated``
-    holds the leading (coordinates, singular values) a truncated fit computed;
-    when it is None, the coordinates are computed from K on first read and
-    cached, so scoring at full rank never decomposes.
+    ``coords @ coordsᵀ``. Rows and columns follow the indicator's columns, so
+    ``category_coords[i]`` is the principal-coordinate row of indicator
+    column i; attribute categories and label categories live in the same
+    space, so row cosines are directly comparable. A column that never occurs
+    (zero count) has an all-zero row in ``gram`` and ``category_coords``.
+    ``truncated`` holds the leading (coordinates, singular values) a
+    truncated fit computed; when it is None, the coordinates are computed
+    from K on first read and cached, so scoring at full rank never
+    decomposes.
     """
 
     gram: np.ndarray
     column_counts: np.ndarray
-    owners: tuple[ColumnOwner, ...]
-    dropped: tuple[ColumnOwner, ...]
     truncated: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        if np.any(self.column_counts <= 0):
-            raise ValueError("column counts must be positive")
         self.column_counts.setflags(write=False)
         self.gram.setflags(write=False)
 
@@ -148,20 +113,26 @@ class McaModel:
 def _principal_coordinates(K: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column principal coordinates and singular values from the centred Burt matrix.
 
-    SᵀS = K / (f.sum()·sqrt(f fᵀ)) for the standardized residuals S.
-    Components whose eigenvalue exceeds ``EIG_TOL`` are retained. Each
-    eigenvector's sign is fixed so its largest-magnitude entry is positive,
-    making coordinates reproducible across backends. G = D_c^{-1/2} V Sigma.
+    Only the columns with a positive count are decomposed; an absent
+    column's coordinate row is zero. SᵀS = K / (f.sum()·sqrt(f fᵀ)) for the
+    standardized residuals S. Components whose eigenvalue exceeds
+    ``EIG_TOL`` are retained. Each eigenvector's sign is fixed so its
+    largest-magnitude entry is positive, making coordinates reproducible
+    across backends. G = D_c^{-1/2} V Sigma.
     """
-    total = int(counts.sum())
-    evals, evecs = np.linalg.eigh(K / (total * np.sqrt(np.outer(counts, counts))))
+    present = counts > 0
+    f = counts[present]
+    total = int(f.sum())
+    evals, evecs = np.linalg.eigh(K[np.ix_(present, present)] / (total * np.sqrt(np.outer(f, f))))
     evals, evecs = evals[::-1], evecs[:, ::-1]
     keep = evals > EIG_TOL
     sigma = np.sqrt(evals[keep])
     V = evecs[:, keep]
     pivots = np.argmax(np.abs(V), axis=0)
     V = V * np.where(V[pivots, np.arange(V.shape[1])] < 0, -1.0, 1.0)
-    return V * sigma[None, :] / np.sqrt(counts / total)[:, None], sigma
+    coords = np.zeros((counts.size, sigma.size))
+    coords[present] = V * sigma[None, :] / np.sqrt(f / total)[:, None]
+    return coords, sigma
 
 
 def fit(indicator: IndicatorMatrix, components: int | None = None) -> McaModel:
@@ -173,7 +144,9 @@ def fit(indicator: IndicatorMatrix, components: int | None = None) -> McaModel:
     when first read (``McaModel``), and its scores need none. ``components``
     optionally truncates to the leading components, which concentrates the
     cosine scores on the dominant association structure; that decomposes K
-    here, since the truncated ``gram`` is built from the coordinates.
+    here, since the truncated ``gram`` is built from the coordinates. The
+    truncated ``gram`` multiplies only the present columns' rows and leaves
+    absent ones at zero.
     """
     if components is not None and components < 1:
         raise ValueError("components must be at least 1 when given")
@@ -182,13 +155,15 @@ def fit(indicator: IndicatorMatrix, components: int | None = None) -> McaModel:
     if counts.sum() <= 0:
         raise ValueError("indicator matrix is empty")
     K = Z.shape[0] * (Z.T @ Z).astype(np.int64) - np.outer(counts, counts)
-    model = McaModel(gram=K, column_counts=counts, owners=indicator.owners,
-                     dropped=indicator.dropped)
+    model = McaModel(gram=K, column_counts=counts)
     if components is None or model.n_components <= components:
         return model
     coords = np.ascontiguousarray(model.category_coords[:, :components])
-    return McaModel(gram=coords @ coords.T, column_counts=counts, owners=indicator.owners,
-                    dropped=indicator.dropped,
+    present = counts > 0
+    kept = coords[present]
+    gram = np.zeros(K.shape)
+    gram[np.ix_(present, present)] = kept @ kept.T
+    return McaModel(gram=gram, column_counts=counts,
                     truncated=(coords, model.singular_values[:components]))
 
 
@@ -223,21 +198,18 @@ class ScoreTable:
 def score_table(model: McaModel, dataset: CategoricalDataset) -> ScoreTable:
     """Tabulate every literal-label cosine once, for the miner's inner loops.
 
+    The literals are the first ``n_literals = literal_offsets[-1]`` rows of
+    ``gram`` and the labels the rest, so the table is the block
+    ``gram[:n_literals, n_literals:]`` over the outer product of the norms.
     cos = gram[l, k] / (norm_l·norm_k), norm = sqrt(diag(gram)), with one
     denominator so one-component scores are exactly ±1. A norm below
-    ``NORM_TOL`` (at full rank, K_ii = f(n−f): a category in every row) is NaN.
+    ``NORM_TOL`` (at full rank, K_ii = f(n−f): a category in no row or in
+    every row) is NaN.
     """
-    sizes = [s.n_categories for s in dataset.schemas]
-    offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-    scores = np.full((int(sum(sizes)), dataset.n_labels), np.nan)
-
-    owners = model.owners
-    lits = [i for i, o in enumerate(owners) if not o.is_label]
-    labs = [i for i, o in enumerate(owners) if o.is_label]
+    offsets = dataset.literal_offsets
+    J = int(offsets[-1])
     norms = np.sqrt(np.diag(model.gram))
     norms = np.where(norms < NORM_TOL, np.nan, norms)
-    cos = model.gram[np.ix_(lits, labs)] / np.outer(norms[lits], norms[labs])
-    flat = [offsets[owners[i].attribute] + owners[i].category for i in lits]
-    labels = [owners[i].category for i in labs]
-    scores[np.ix_(flat, labels)] = np.clip(cos, -1.0, 1.0)
-    return ScoreTable(scores=scores, offsets=offsets, n_labels=dataset.n_labels)
+    cos = model.gram[:J, J:] / np.outer(norms[:J], norms[J:])
+    return ScoreTable(scores=np.clip(cos, -1.0, 1.0), offsets=offsets[:-1],
+                      n_labels=dataset.n_labels)

@@ -195,17 +195,14 @@ def mine(
         if col.size:
             rho_bar[k] = col.max()
 
-    flat_literals = []
-    for j, schema in enumerate(dataset.schemas):
-        for cat in range(schema.n_categories):
-            flat_literals.append(Literal(j, cat))
+    attribute_of = np.repeat(np.arange(dataset.p), np.diff(dataset.literal_offsets))
     class_counts = dataset.label_counts()
 
     def mine_label(k: int) -> tuple[ScoredRule, ...]:
         if class_counts[k] == 0 or np.isnan(rho_bar[k]):
             return ()
         return _mine_one_label(
-            table, scores[:, k], float(rho_bar[k]), config, k, flat_literals,
+            table, scores[:, k], float(rho_bar[k]), config, k, attribute_of,
             _class_literal_bits(dataset, k), int(class_counts[k]),
         )
 
@@ -234,14 +231,19 @@ def _class_literal_bits(dataset: CategoricalDataset, k: int) -> np.ndarray:
 
 
 def _mine_one_label(
-    table, scores_k, rho_bar_k, config, k, flat_literals, class_bits, class_count
+    table, scores_k, rho_bar_k, config, k, attribute_of, class_bits, class_count
 ):
     """Seed, extend, prune, and rank rules for one label."""
     lit_class_counts = np.bitwise_count(class_bits).sum(axis=1, dtype=np.int64)
     defined = np.flatnonzero(~np.isnan(scores_k))
     defined_scores = scores_k[defined]
-    defined_attrs = np.array([flat_literals[f].attribute for f in defined], dtype=np.int64)
+    defined_attrs = attribute_of[defined]
     used = np.zeros(int(table.offsets.size), dtype=bool)
+
+    def literals(flats):
+        """The literals numbered ``flats``, lazily, in order."""
+        attrs = attribute_of[flats]
+        return map(Literal, attrs.tolist(), (flats - table.offsets[attrs]).tolist())
 
     pool: dict[Rule, ScoredRule] = {}
     top_scores: list[float] = []  # min-heap of the best M scores seen
@@ -253,11 +255,12 @@ def _mine_one_label(
         else:
             heapq.heappushpop(top_scores, score)
 
-    for flat in defined.tolist():
-        score = float(scores_k[flat])
-        supp = lit_class_counts[flat] / class_count
-        if score >= config.mu_min and supp >= config.s_min:
-            add(Rule.of([flat_literals[flat]]), score, supp)
+    supports = lit_class_counts[defined] / class_count
+    seeds = (defined_scores >= config.mu_min) & (supports >= config.s_min)
+    for literal, score, supp in zip(
+        literals(defined[seeds]), defined_scores[seeds].tolist(), supports[seeds]
+    ):
+        add(Rule.of([literal]), score, supp)
 
     for length in range(1, config.r_max):
         frontier = sorted(
@@ -292,10 +295,10 @@ def _mine_one_label(
             parent_rows = np.bitwise_and.reduce(class_bits[parent])
             hits = np.bitwise_count(class_bits[cand] & parent_rows).sum(axis=1, dtype=np.int64)
             passing = hits / class_count >= config.s_min
-            for flat, score, hit in zip(
-                cand[passing].tolist(), child_scores[passing].tolist(), hits[passing].tolist()
+            for literal, score, hit in zip(
+                literals(cand[passing]), child_scores[passing].tolist(), hits[passing].tolist()
             ):
-                child = rule.extended(flat_literals[flat])
+                child = rule.extended(literal)
                 if child not in pool:
                     add(child, score, hit / class_count)
 

@@ -1,5 +1,6 @@
-"""Helpers that only the tests use: literal masks and text, CSV writing, a
-whole sampler chain, and the sampler's term-by-term log-posterior."""
+"""Helpers that only the tests use: literals in flat order, literal masks and
+text, CSV writing, a whole sampler chain, and the sampler's log-posterior of
+a rule list, exact and term by term."""
 
 import csv
 import math
@@ -8,8 +9,18 @@ from collections import Counter
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from mcarules.brl import Evaluator, _advance, _fresh_chain
+from mcarules.brl import Evaluator, RuleList, _advance, _fresh_chain
+from mcarules.dataset import Literal
 from mcarules.miner import rule_mask
+
+
+def flat_literals(dataset):
+    """Every literal of the dataset, in flat literal order."""
+    return [
+        Literal(j, c)
+        for j, schema in enumerate(dataset.schemas)
+        for c in range(schema.n_categories)
+    ]
 
 
 def literal_mask(dataset, literal):
@@ -43,6 +54,20 @@ def run_chain(dataset, mined_rules, config, chain_seed):
     chain = _fresh_chain(evaluator, chain_seed)
     _, trace, states, accepted = _advance(evaluator, chain, config.max_iters)
     return trace, tuple((iteration, state) for iteration, state, _ in states), accepted
+
+
+def log_posterior(rule_list, dataset, mined_rules, config) -> float:
+    """Log posterior (up to a constant) of a rule list over the mined set."""
+    rules = tuple(rule_list.rules) if isinstance(rule_list, RuleList) else tuple(rule_list)
+    evaluator = Evaluator(dataset, mined_rules, config)
+    index_of = {rule: i for i, rule in enumerate(evaluator.rules)}
+    try:
+        indices = tuple(index_of[r] for r in rules)
+    except KeyError as missing:
+        raise ValueError(f"rule {missing.args[0]!r} is not in the mined set") from None
+    if len(set(indices)) != len(indices):
+        raise ValueError("rule list repeats a rule")
+    return evaluator.log_posterior(indices)
 
 
 def reference_log_posterior(dataset, mined_rules, config, indices) -> float:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_log_posterior, run_chain
+from helpers import flat_literals, log_posterior, reference_log_posterior, run_chain
 from mcarules.artifacts import read_model, write_model
 from mcarules.brl import (
     BrlConfig,
@@ -22,7 +22,6 @@ from mcarules.brl import (
     _Prefix,
     first_match,
     gelman_rubin,
-    log_posterior,
     predict_proba_batch,
     propose,
     render_rule_list,
@@ -78,11 +77,7 @@ def informative_dataset(rng, n=60, p=3):
 
 
 def all_single_literal_rules(dataset):
-    rules = []
-    for j, schema in enumerate(dataset.schemas):
-        for c in range(schema.n_categories):
-            rules.append(Rule.of([Literal(j, c)]))
-    return rules
+    return [Rule.of([lit]) for lit in flat_literals(dataset)]
 
 
 def enumerate_states(n_rules, cap):

@@ -143,7 +143,39 @@ class TestUsageErrors:
         else:
             argv += ["--max-len", value]
         assert main(argv) == 1
-        assert "max_list_length must be at least 1" in capsys.readouterr().err
+        name = "max-len" if from_file else "--max-len"
+        assert f"error: {name} must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag, key, least",
+        [
+            (["train", "{toy}", "--label", "label", "--rules", "{rules}"],
+             "--max-len", "max-len", 1),
+            (["train", "{toy}", "--label", "label", "--rules", "{rules}"],
+             "--chains", "chains", 1),
+            (["mine", "{toy}", "--label", "label"], "--r-max", "r-max", 1),
+            (["benchmark"], "--n", "n", 4),
+            (["benchmark"], "--categories", "categories", 2),
+        ],
+    )
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_rejected_value_is_named_as_given(
+        self, workspace, tmp_path, capsys, argv, flag, key, least, from_file
+    ):
+        # The message names what the user typed: the flag, or the config
+        # key as written in the file, never the config dataclass's field.
+        out = tmp_path / "out"
+        argv = [arg.format(**workspace) for arg in argv] + ["--out", str(out)]
+        if from_file:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = 0\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += [flag, "0"]
+        assert main(argv) == 1
+        name = key if from_file else flag
+        assert capsys.readouterr().err == f"error: {name} must be at least {least}\n"
         assert not out.exists()
 
     def test_rules_file_excludes_miner_flags(self, workspace, capsys):
@@ -183,11 +215,14 @@ class TestUsageErrors:
     def test_bad_miner_value_is_usage_error(
         self, workspace, tmp_path, capsys, argv, message
     ):
+        # ``message`` is the config dataclass's; the CLI reports it under
+        # the flag that set the rejected field.
+        flag = argv[-2]
         out = tmp_path / "out"
         argv = [arg.format(toy=workspace["toy"]) for arg in argv] + ["--out", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert message in err
+        assert f"error: {flag} {message.partition(' ')[2]}" in err
         assert "attrs]" not in err  # rejected before any benchmark run
         assert not out.exists()
 

@@ -15,6 +15,10 @@ class TestTitanic:
         assert sum(s.n_categories for s in ds.schemas) == 8
         assert ds.n_labels == 2
 
+    def test_literal_offsets(self):
+        # class has 4 categories, age and sex 2 each.
+        assert titanic_dataset().literal_offsets.tolist() == [0, 4, 6, 8]
+
     def test_survival_totals(self):
         ds = titanic_dataset()
         assert ds.label_counts().tolist() == [1490, 711]

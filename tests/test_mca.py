@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import flat_literals
 from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
 from mcarules.mca import (
     ScoreUndefinedError,
@@ -14,6 +15,7 @@ from mcarules.mca import (
     fit,
     score_table,
 )
+from mcarules.miner import MinerConfig, mine
 
 
 def ca_oracle(N):
@@ -70,34 +72,58 @@ def perfectly_correlated_dataset():
     return CategoricalDataset(schemas=schemas, X=X, Y=Y, label_names=("l0", "l1"))
 
 
+def dataset_with_absent_categories():
+    """Three attributes and three labels; ``a1`` category ``c2`` and label ``l2`` never occur."""
+    rng = np.random.default_rng(0)
+    n = 40
+    X = np.column_stack([rng.integers(0, 2, n), rng.integers(0, 2, n), rng.integers(0, 4, n)])
+    schemas = tuple(
+        AttributeSchema(name=f"a{j}", categories=tuple(f"c{v}" for v in range(s)))
+        for j, s in enumerate([2, 3, 4])
+    )
+    return CategoricalDataset(
+        schemas=schemas, X=X, Y=rng.integers(0, 2, n), label_names=("l0", "l1", "l2")
+    )
+
+
 class TestBuildIndicator:
     def test_two_row_one_hot(self):
         ind = build_indicator(perfectly_correlated_dataset())
         np.testing.assert_array_equal(
             ind.matrix, [[1, 0, 1, 0], [0, 1, 0, 1]]
         )
-        assert [o.name for o in ind.owners] == ["a1", "a1", "label", "label"]
+
+    def test_literal_column_is_its_attribute_test(self):
+        ds = dataset_with_absent_categories()
+        ind = build_indicator(ds)
+        assert ind.n_columns == int(ds.literal_offsets[-1]) + ds.n_labels
+        for j, schema in enumerate(ds.schemas):
+            for c in range(schema.n_categories):
+                np.testing.assert_array_equal(
+                    ind.matrix[:, ds.literal_offsets[j] + c], ds.X[:, j] == c
+                )
+
+    def test_label_column_is_its_label_test(self):
+        ds = dataset_with_absent_categories()
+        ind = build_indicator(ds)
+        n_literals = int(ds.literal_offsets[-1])
+        for k in range(ds.n_labels):
+            np.testing.assert_array_equal(ind.matrix[:, n_literals + k], ds.Y == k)
 
     def test_row_sums_are_p_plus_one(self):
-        rng = np.random.default_rng(0)
-        ds = random_dataset(rng, n=40, sizes=[2, 3, 2])
+        ds = dataset_with_absent_categories()
         ind = build_indicator(ds)
-        np.testing.assert_array_equal(ind.matrix.sum(axis=1), np.full(40, ds.p + 1))
-        np.testing.assert_array_equal(
-            ind.matrix.sum(axis=0),
-            [np.sum(ds.X[:, o.attribute] == o.category) if not o.is_label
-             else np.sum(ds.Y == o.category) for o in ind.owners],
-        )
+        np.testing.assert_array_equal(ind.matrix.sum(axis=1), np.full(ds.n, ds.p + 1))
 
-    def test_zero_occurrence_category_dropped(self):
+    def test_never_seen_category_has_zero_column(self):
         schemas = (AttributeSchema(name="a", categories=("x", "y", "z")),)
         X = np.array([[0], [1], [0], [1]])
         Y = np.array([0, 1, 0, 1])
         ds = CategoricalDataset(schemas=schemas, X=X, Y=Y, label_names=("u", "v"))
         ind = build_indicator(ds)
-        assert ind.n_columns == 4
-        assert len(ind.dropped) == 1
-        assert ind.dropped[0].category_label == "z"
+        np.testing.assert_array_equal(
+            ind.matrix, [[1, 0, 0, 1, 0], [0, 1, 0, 0, 1], [1, 0, 0, 1, 0], [0, 1, 0, 0, 1]]
+        )
 
 
 class TestFit:
@@ -191,11 +217,13 @@ class TestOracleEquivalence:
             n = int(rng.integers(8, 21))
             ds = random_dataset(rng, n=n, sizes=sizes)
             ind = build_indicator(ds)
-            if ind.n_columns > 15:
+            present = ind.matrix.sum(axis=0) > 0
+            if present.sum() > 15:
                 continue
             model = fit(ind)
             table = score_table(model, ds)
-            sigma, coords = ca_oracle(ind.matrix)
+            sigma, coords = ca_oracle(ind.matrix[:, present])
+            oracle_row = np.cumsum(present) - 1
             strong = model.singular_values > 1e-6
             assert strong.sum() == sigma.size
             # Components are sign-comparable only when singular values are
@@ -203,20 +231,17 @@ class TestOracleEquivalence:
             gaps_ok = np.all(np.abs(np.diff(sigma)) > 1e-6)
             if gaps_ok:
                 for comp in range(sigma.size):
-                    a = model.category_coords[:, comp]
+                    a = model.category_coords[present, comp]
                     b = coords[:, comp]
                     assert min(np.abs(a - b).max(), np.abs(a + b).max()) < 1e-8
-            label_rows = [i for i, o in enumerate(model.owners) if o.is_label]
-            for i, owner in enumerate(model.owners):
-                if owner.is_label:
-                    continue
-                lit = Literal(owner.attribute, owner.category)
-                for k, row in enumerate(label_rows):
+            n_literals = int(ds.literal_offsets[-1])
+            for flat, lit in enumerate(flat_literals(ds)):
+                for k in range(ds.n_labels):
                     try:
                         got = table.score(lit, k)
                     except ScoreUndefinedError:
                         continue
-                    want = oracle_cosine(coords, i, row)
+                    want = oracle_cosine(coords, oracle_row[flat], oracle_row[n_literals + k])
                     assert got == pytest.approx(want, abs=1e-8)
             checked += 1
 
@@ -270,24 +295,23 @@ class TestTruncation:
         while checked < 5:
             ds = random_dataset(rng, n=int(rng.integers(15, 30)), sizes=[2, 3, 2])
             ind = build_indicator(ds)
-            sigma, coords = ca_oracle(ind.matrix)
+            present = ind.matrix.sum(axis=0) > 0
+            sigma, coords = ca_oracle(ind.matrix[:, present])
+            oracle_row = np.cumsum(present) - 1
             # Component order is only comparable with a separated spectrum.
             if sigma.size < 3 or np.any(np.abs(np.diff(sigma)) < 1e-6):
                 continue
             model = fit(ind, components=2)
             table = score_table(model, ds)
-            label_rows = [i for i, o in enumerate(model.owners) if o.is_label]
             lead = coords[:, :2]
-            for i, owner in enumerate(model.owners):
-                if owner.is_label:
-                    continue
-                lit = Literal(owner.attribute, owner.category)
-                for k, row in enumerate(label_rows):
+            n_literals = int(ds.literal_offsets[-1])
+            for flat, lit in enumerate(flat_literals(ds)):
+                for k in range(ds.n_labels):
                     try:
                         got = table.score(lit, k)
                     except ScoreUndefinedError:
                         continue
-                    want = oracle_cosine(lead, i, row)
+                    want = oracle_cosine(lead, oracle_row[flat], oracle_row[n_literals + k])
                     assert got == pytest.approx(want, abs=1e-8)
             checked += 1
 
@@ -318,7 +342,7 @@ class TestScoreTable:
         table = score_table(model, ds)
         with pytest.raises(ScoreUndefinedError):
             table.score(Literal(0, 0), 0)
-        # The dropped sibling category is undefined too.
+        # The never-seen sibling category is undefined too.
         with pytest.raises(ScoreUndefinedError):
             table.score(Literal(0, 1), 0)
         assert table.score(Literal(1, 0), 0) == pytest.approx(1.0)
@@ -370,6 +394,34 @@ class TestPhiIdentity:
                         assert np.sign(got) == np.sign(num)
                         ratio = Fraction(got) ** 2 * den / num**2
                         assert abs(ratio - 1) < Fraction(1, 10**12)
+
+
+class TestNeverSeenCategory:
+    @settings(max_examples=150, deadline=None)
+    @given(ds=small_datasets(), data=st.data())
+    def test_appended_category_changes_no_other_score(self, ds, data):
+        # A category no row takes gets an all-zero indicator column. It must
+        # score NaN against every label and leave every other score, and the
+        # mined rules, bit for bit as they were.
+        j = data.draw(st.integers(0, ds.p - 1))
+        schemas = list(ds.schemas)
+        schemas[j] = AttributeSchema(
+            name=schemas[j].name, categories=schemas[j].categories + ("never",)
+        )
+        wider = CategoricalDataset(
+            schemas=tuple(schemas), X=ds.X, Y=ds.Y, label_names=ds.label_names
+        )
+        new = int(wider.literal_offsets[j + 1]) - 1
+        config = MinerConfig(s_min=0.1, mu_min=0.0)
+        for components in (None, 1, 2):
+            model = fit(build_indicator(ds), components=components)
+            wider_model = fit(build_indicator(wider), components=components)
+            got = score_table(wider_model, wider).scores
+            assert np.isnan(got[new]).all()
+            np.testing.assert_array_equal(
+                np.delete(got, new, axis=0), score_table(model, ds).scores
+            )
+            assert mine(wider, wider_model, config) == mine(ds, model, config)
 
 
 class TestDeferredCoordinates:

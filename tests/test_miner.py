@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import literal_mask
+from helpers import flat_literals, literal_mask
 from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
 from mcarules.mca import ScoreTable, ScoreUndefinedError, build_indicator, fit, score_table
 from mcarules.miner import (
@@ -104,11 +104,7 @@ def reference_mine(dataset, model, config):
     """
     table = score_table(model, dataset)
     scores = table.scores if config.signed else np.abs(table.scores)
-    flat_literals = [
-        Literal(j, c)
-        for j, schema in enumerate(dataset.schemas)
-        for c in range(schema.n_categories)
-    ]
+    literals = flat_literals(dataset)
     class_counts = dataset.label_counts()
     per_label = []
     for k in range(dataset.n_labels):
@@ -129,7 +125,7 @@ def reference_mine(dataset, model, config):
             else:
                 heapq.heappushpop(top_scores, score)
 
-        for flat, lit in enumerate(flat_literals):
+        for flat, lit in enumerate(literals):
             if not defined[flat]:
                 continue
             score = float(scores_k[flat])
@@ -146,7 +142,7 @@ def reference_mine(dataset, model, config):
                 if pool[rule].score < score_bound(length, working_mu, rho_bar_k):
                     continue
                 parent_mask = rule_mask(rule, dataset.X)
-                for flat, lit in enumerate(flat_literals):
+                for flat, lit in enumerate(literals):
                     if not defined[flat] or lit.attribute in rule.attributes:
                         continue
                     child = rule.extended(lit)
