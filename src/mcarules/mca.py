@@ -5,9 +5,11 @@ matrix Z is one-hot encoded. Correspondence analysis of Z, computed from its
 Burt matrix ZᵀZ, yields one principal-coordinate row per category. The cosine
 between a literal's row and a label's row is the literal-label score consumed
 by the rule miner; with every component kept it is the phi coefficient of the
-two indicator columns. A full-rank fit is therefore just the exact integer
-Burt counts: its scores are read from them, and its coordinates are computed
-(by eigendecomposition) only when asked for.
+two indicator columns, (n·n_lk − f_l·g_k) / sqrt(f_l(n−f_l)·g_k(n−g_k)). A
+full-rank fit is therefore just exact integer counts of literal-label pairs,
+taken straight from the dataset's codes: it builds neither Z nor the Burt
+matrix. Those are built only for what reads them: the coordinates, the whole
+centred Burt matrix, or a truncated fit.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .dataset import CategoricalDataset, Literal
 
 EIG_TOL = 1e-12
 NORM_TOL = 1e-12
+COUNT_BLOCK_CELLS = 1 << 16
 
 
 class ScoreUndefinedError(ValueError):
@@ -29,28 +32,38 @@ class ScoreUndefinedError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class IndicatorMatrix:
-    """One-hot encoding of attributes plus label; rows sum to p+1."""
+    """One-hot encoding of attributes plus label; rows sum to p+1.
 
-    matrix: np.ndarray
+    ``matrix`` is built from the dataset on first read and kept; a full-rank
+    ``fit`` never reads it.
+    """
 
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
+    dataset: CategoricalDataset
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _one_hot(self.dataset)
 
     @property
     def n_columns(self) -> int:
-        return self.matrix.shape[1]
+        return int(self.dataset.literal_offsets[-1]) + self.dataset.n_labels
 
 
 def build_indicator(dataset: CategoricalDataset) -> IndicatorMatrix:
-    """One-hot encode every attribute column and the label column.
+    """The one-hot encoding of every attribute column and the label column.
 
     Column ``literal_offsets[j] + c`` holds flat literal "attribute j takes
     category c" and column ``n_literals + k`` holds label k, where
     ``n_literals = literal_offsets[-1]``. A category or label that never
-    occurs (possible on row subsets) keeps its column, all zeros. The ones
-    are written one column at a time into a category-major buffer, one row
-    per column, whose transpose is the matrix.
+    occurs (possible on row subsets) keeps its column, all zeros. The matrix
+    itself is built on first read of ``.matrix``.
     """
+    return IndicatorMatrix(dataset=dataset)
+
+
+def _one_hot(dataset: CategoricalDataset) -> np.ndarray:
+    """The indicator matrix, written one column at a time into a category-major
+    buffer, one row per column, whose transpose is the matrix."""
     offsets = dataset.literal_offsets
     n = dataset.n
     buffer = np.zeros((int(offsets[-1]) + dataset.n_labels, n))
@@ -61,41 +74,61 @@ def build_indicator(dataset: CategoricalDataset) -> IndicatorMatrix:
         position = (codes + start) * n
         position += rows
         flat[position] = 1.0
-    return IndicatorMatrix(matrix=buffer.T)
+    matrix = buffer.T
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _centred_burt(Z: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """K = n·ZᵀZ − f fᵀ, exact in integers: ZᵀZ of a 0/1 matrix is exact in
+    any summation order."""
+    return Z.shape[0] * (Z.T @ Z).astype(np.int64) - np.outer(counts, counts)
 
 
 @dataclass(frozen=True, eq=False)
 class McaModel:
-    """Correspondence analysis of a fitted indicator matrix.
+    """Correspondence analysis of a dataset's indicator matrix.
 
-    ``gram`` holds the row cosines the miner scores with: the integer centred
-    Burt matrix K = n·ZᵀZ − f fᵀ (``fit``) when every component is kept, else
+    The miner scores with row cosines of ``gram``: the integer centred Burt
+    matrix K = n·ZᵀZ − f fᵀ when every component is kept, else
     ``coords @ coordsᵀ``. Rows and columns follow the indicator's columns, so
     ``category_coords[i]`` is the principal-coordinate row of indicator
     column i; attribute categories and label categories live in the same
     space, so row cosines are directly comparable. A column that never occurs
     (zero count) has an all-zero row in ``gram`` and ``category_coords``.
-    ``truncated`` holds the leading (coordinates, singular values) a
-    truncated fit computed; when it is None, the coordinates are computed
-    from K on first read and cached, so scoring at full rank never
-    decomposes.
+
+    Scoring reads only ``literal_label``, the literal×label block
+    ``gram[:n_literals, n_literals:]``, and ``diagonal``, the diagonal of
+    ``gram``. ``computed`` holds the (gram, coordinates, singular values) a
+    fit already computed. When it is None (the full-rank fit from counts),
+    ``gram`` is computed from ``dataset`` on first read, through a one-hot
+    matrix that is dropped afterwards, and the coordinates from ``gram``, so
+    scoring at full rank builds neither and never decomposes.
     """
 
-    gram: np.ndarray
     column_counts: np.ndarray
-    truncated: tuple[np.ndarray, np.ndarray] | None = None
+    literal_label: np.ndarray
+    diagonal: np.ndarray
+    dataset: CategoricalDataset | None = None
+    computed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        self.column_counts.setflags(write=False)
-        self.gram.setflags(write=False)
+        for array in (self.column_counts, self.literal_label, self.diagonal, *(self.computed or ())):
+            array.setflags(write=False)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        if self.computed is not None:
+            return self.computed[0]
+        K = _centred_burt(_one_hot(self.dataset), self.column_counts)
+        K.setflags(write=False)
+        return K
 
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        coords, sv = self.truncated or _principal_coordinates(self.gram, self.column_counts)
-        if np.any(sv <= 0) or np.any(np.diff(sv) > 0):
-            raise ValueError("singular values must be positive and descending")
-        coords.setflags(write=False)
-        return coords, sv
+        if self.computed is not None:
+            return self.computed[1:]
+        return _principal_coordinates(self.gram, self.column_counts)
 
     @property
     def category_coords(self) -> np.ndarray:
@@ -127,44 +160,79 @@ def _principal_coordinates(K: np.ndarray, counts: np.ndarray) -> tuple[np.ndarra
     evals, evecs = evals[::-1], evecs[:, ::-1]
     keep = evals > EIG_TOL
     sigma = np.sqrt(evals[keep])
+    if np.any(sigma <= 0) or np.any(np.diff(sigma) > 0):
+        raise ValueError("singular values must be positive and descending")
     V = evecs[:, keep]
     pivots = np.argmax(np.abs(V), axis=0)
     V = V * np.where(V[pivots, np.arange(V.shape[1])] < 0, -1.0, 1.0)
     coords = np.zeros((counts.size, sigma.size))
     coords[present] = V * sigma[None, :] / np.sqrt(f / total)[:, None]
+    coords.setflags(write=False)
     return coords, sigma
 
 
-def fit(indicator: IndicatorMatrix, components: int | None = None) -> McaModel:
-    """Correspondence analysis of the indicator matrix Z, from its Burt matrix.
+def _literal_label_counts(dataset: CategoricalDataset) -> np.ndarray:
+    """n_lk, the rows where flat literal l and label k both hold, as a J×L array.
 
-    ZᵀZ of a 0/1 matrix is exact in any summation order, so the centred Burt
-    matrix K = n·ZᵀZ − f fᵀ (f the column counts) is exact in integers. The
-    full-rank fit is just these counts: its coordinates are computed from K
-    when first read (``McaModel``), and its scores need none. ``components``
-    optionally truncates to the leading components, which concentrates the
-    cosine scores on the dominant association structure; that decomposes K
-    here, since the truncated ``gram`` is built from the coordinates. The
-    truncated ``gram`` multiplies only the present columns' rows and leaves
-    absent ones at zero.
+    Cell (i, j) adds one to the count at ``(literal_offsets[j] + X[i, j])·L
+    + Y[i]``, summed with one ``bincount`` per block of rows. A block holds
+    about ``COUNT_BLOCK_CELLS`` cells, so every temporary stays small and
+    each block reads whole rows; at least 64 rows, so that adding each
+    block's J·L counts costs little next to counting its cells.
+    """
+    L = dataset.n_labels
+    size = int(dataset.literal_offsets[-1]) * L
+    starts = dataset.literal_offsets[:-1] * L
+    step = max(64, COUNT_BLOCK_CELLS // dataset.p)
+    n_lk = np.zeros(size, dtype=np.int64)
+    for i in range(0, dataset.n, step):
+        codes = dataset.X[i:i + step] * L
+        codes += starts
+        codes += dataset.Y[i:i + step, None]
+        n_lk += np.bincount(codes.ravel(), minlength=size)
+    return n_lk.reshape(-1, L)
+
+
+def fit(indicator: IndicatorMatrix, components: int | None = None) -> McaModel:
+    """Correspondence analysis of the indicator matrix Z.
+
+    The full-rank fit (``components`` None) is exact integer counts read from
+    the dataset's codes, never from Z: n_lk per literal l and label k, the
+    literal counts f_l = Σ_k n_lk and the label counts g_k. Its scoring block
+    is n·n_lk − f_l g_k and its diagonal f(n−f), the entries of the centred
+    Burt matrix K = n·ZᵀZ − f fᵀ that scoring reads; K itself and the
+    coordinates are computed when first read (``McaModel``).
+
+    ``components`` optionally truncates to the leading components, which
+    concentrates the cosine scores on the dominant association structure.
+    That builds Z and K and decomposes K here, since the truncated ``gram``
+    is built from the coordinates; it multiplies only the present columns'
+    rows and leaves absent ones at zero. A ``components`` at or above the
+    rank keeps the full-rank K.
     """
     if components is not None and components < 1:
         raise ValueError("components must be at least 1 when given")
+    dataset = indicator.dataset
+    J = int(dataset.literal_offsets[-1])
+    if components is None:
+        n_lk = _literal_label_counts(dataset)
+        f = n_lk.sum(axis=1)
+        g = np.bincount(dataset.Y, minlength=dataset.n_labels)
+        counts = np.concatenate([f, g])
+        return McaModel(column_counts=counts, literal_label=dataset.n * n_lk - np.outer(f, g),
+                        diagonal=counts * (dataset.n - counts), dataset=dataset)
     Z = indicator.matrix
     counts = Z.sum(axis=0).astype(np.int64)
-    if counts.sum() <= 0:
-        raise ValueError("indicator matrix is empty")
-    K = Z.shape[0] * (Z.T @ Z).astype(np.int64) - np.outer(counts, counts)
-    model = McaModel(gram=K, column_counts=counts)
-    if components is None or model.n_components <= components:
-        return model
-    coords = np.ascontiguousarray(model.category_coords[:, :components])
-    present = counts > 0
-    kept = coords[present]
-    gram = np.zeros(K.shape)
-    gram[np.ix_(present, present)] = kept @ kept.T
-    return McaModel(gram=gram, column_counts=counts,
-                    truncated=(coords, model.singular_values[:components]))
+    gram = _centred_burt(Z, counts)
+    coords, sv = _principal_coordinates(gram, counts)
+    if sv.size > components:
+        coords, sv = np.ascontiguousarray(coords[:, :components]), sv[:components]
+        present = counts > 0
+        kept = coords[present]
+        gram = np.zeros(gram.shape)
+        gram[np.ix_(present, present)] = kept @ kept.T
+    return McaModel(column_counts=counts, literal_label=gram[:J, J:], diagonal=np.diag(gram),
+                    computed=(gram, coords, sv))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +267,8 @@ def score_table(model: McaModel, dataset: CategoricalDataset) -> ScoreTable:
     """Tabulate every literal-label cosine once, for the miner's inner loops.
 
     The literals are the first ``n_literals = literal_offsets[-1]`` rows of
-    ``gram`` and the labels the rest, so the table is the block
-    ``gram[:n_literals, n_literals:]`` over the outer product of the norms.
+    ``gram`` and the labels the rest, so the table is the model's
+    ``literal_label`` block over the outer product of the norms.
     cos = gram[l, k] / (norm_l·norm_k), norm = sqrt(diag(gram)), with one
     denominator so one-component scores are exactly ±1. A norm below
     ``NORM_TOL`` (at full rank, K_ii = f(n−f): a category in no row or in
@@ -208,8 +276,8 @@ def score_table(model: McaModel, dataset: CategoricalDataset) -> ScoreTable:
     """
     offsets = dataset.literal_offsets
     J = int(offsets[-1])
-    norms = np.sqrt(np.diag(model.gram))
+    norms = np.sqrt(model.diagonal)
     norms = np.where(norms < NORM_TOL, np.nan, norms)
-    cos = model.gram[:J, J:] / np.outer(norms[:J], norms[J:])
+    cos = model.literal_label / np.outer(norms[:J], norms[J:])
     return ScoreTable(scores=np.clip(cos, -1.0, 1.0), offsets=offsets[:-1],
                       n_labels=dataset.n_labels)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "confusion_matrix",
@@ -57,6 +56,25 @@ def accuracy(y_true, y_pred) -> float:
     return float(np.count_nonzero(true == pred) / true.size)
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-d array, tied values sharing the mean of their positions.
+
+    A tie group occupying sorted positions ``start`` to ``end - 1`` gets rank
+    ``(start + end + 1) / 2``, an exact half-integer. As with
+    ``scipy.stats.rankdata(method="average")``, any NaN makes every rank NaN.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def roc_auc(y_true, scores) -> float:
     """Mann-Whitney AUC of `scores` against binary `y_true`, ties counted 0.5."""
     true = _as_labels(y_true, "y_true")
@@ -70,7 +88,7 @@ def roc_auc(y_true, scores) -> float:
     n_pos = int(np.count_nonzero(positive))
     n_neg = true.size - n_pos
     # Average ranks give each tied positive/negative pair exactly 0.5.
-    ranks = rankdata(s, method="average")
+    ranks = _average_ranks(s)
     rank_sum = float(ranks[positive].sum())
     u_stat = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u_stat / (n_pos * n_neg))

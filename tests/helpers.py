@@ -1,6 +1,7 @@
 """Helpers that only the tests use: literals in flat order, literal masks and
-text, CSV writing, a whole sampler chain, and the sampler's log-posterior of
-a rule list, exact and term by term."""
+text, CSV writing, the full-rank scores from the dense Burt matrix, a whole
+sampler chain, and the sampler's log-posterior of a rule list, exact and term
+by term."""
 
 import csv
 import math
@@ -11,6 +12,7 @@ from scipy.special import gammaln, logsumexp
 
 from mcarules.brl import Evaluator, RuleList, _advance, _fresh_chain
 from mcarules.dataset import Literal
+from mcarules.mca import NORM_TOL, build_indicator
 from mcarules.miner import rule_mask
 
 
@@ -42,6 +44,27 @@ def write_dataset_csv(dataset, path) -> None:
             row = [dataset.schemas[j].categories[dataset.X[i, j]] for j in range(dataset.p)]
             row.append(dataset.label_names[dataset.Y[i]])
             writer.writerow(row)
+
+
+def centred_burt(dataset):
+    """K = n·ZᵀZ − f fᵀ of the dataset's dense one-hot indicator Z, in integers."""
+    Z = build_indicator(dataset).matrix
+    counts = Z.sum(axis=0).astype(np.int64)
+    return Z.shape[0] * (Z.T @ Z).astype(np.int64) - np.outer(counts, counts)
+
+
+def burt_scores(dataset):
+    """Full-rank literal-label scores read from the whole centred Burt matrix.
+
+    The block ``K[:n_literals, n_literals:]`` over the outer product of the
+    norms ``sqrt(diag(K))``, a norm below ``NORM_TOL`` being NaN, clipped to
+    [-1, 1].
+    """
+    K = centred_burt(dataset)
+    J = int(dataset.literal_offsets[-1])
+    norms = np.sqrt(np.diag(K))
+    norms = np.where(norms < NORM_TOL, np.nan, norms)
+    return np.clip(K[:J, J:] / np.outer(norms[:J], norms[J:]), -1.0, 1.0)
 
 
 def run_chain(dataset, mined_rules, config, chain_seed):

@@ -79,6 +79,17 @@ class TestUsageErrors:
         assert proc.returncode == 0
         assert "mine" in proc.stdout
 
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats costs about a second and 45 MiB to import, on every command.
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, mcarules.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_missing_label(self, workspace, capsys):
         assert main(["mine", workspace["toy"]]) == 1
         assert "--label" in capsys.readouterr().err

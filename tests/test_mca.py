@@ -1,5 +1,6 @@
 """Tests for the correspondence-analysis fit and literal-label scores."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import flat_literals
-from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
+from helpers import burt_scores, centred_burt, flat_literals
+from mcarules import mca
+from mcarules.benchmark import synthetic_dataset
+from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal, subset
 from mcarules.mca import (
     ScoreUndefinedError,
     build_indicator,
@@ -366,6 +369,13 @@ def small_datasets(draw):
     )
 
 
+def with_never_seen_category(ds, j):
+    """The dataset with one more category, taken by no row, on attribute ``j``."""
+    schemas = list(ds.schemas)
+    schemas[j] = AttributeSchema(name=schemas[j].name, categories=schemas[j].categories + ("never",))
+    return CategoricalDataset(schemas=tuple(schemas), X=ds.X, Y=ds.Y, label_names=ds.label_names)
+
+
 class TestPhiIdentity:
     @settings(max_examples=150, deadline=None)
     @given(ds=small_datasets())
@@ -404,13 +414,7 @@ class TestNeverSeenCategory:
         # score NaN against every label and leave every other score, and the
         # mined rules, bit for bit as they were.
         j = data.draw(st.integers(0, ds.p - 1))
-        schemas = list(ds.schemas)
-        schemas[j] = AttributeSchema(
-            name=schemas[j].name, categories=schemas[j].categories + ("never",)
-        )
-        wider = CategoricalDataset(
-            schemas=tuple(schemas), X=ds.X, Y=ds.Y, label_names=ds.label_names
-        )
+        wider = with_never_seen_category(ds, j)
         new = int(wider.literal_offsets[j + 1]) - 1
         config = MinerConfig(s_min=0.1, mu_min=0.0)
         for components in (None, 1, 2):
@@ -462,3 +466,80 @@ class TestDeferredCoordinates:
                 getattr(model, read)
         with pytest.raises(ValueError, match="positive and descending"):
             fit(ind, components=1)
+
+
+@st.composite
+def count_path_datasets(draw):
+    """``small_datasets``, cut to a row subset and maybe given a never-seen category."""
+    ds = draw(small_datasets())
+    rows = draw(st.lists(st.integers(0, ds.n - 1), min_size=1, max_size=ds.n, unique=True))
+    ds = subset(ds, sorted(rows))
+    if draw(st.booleans()):
+        ds = with_never_seen_category(ds, draw(st.integers(0, ds.p - 1)))
+    return ds
+
+
+class TestFullRankCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(ds=count_path_datasets())
+    def test_scores_and_rules_match_burt_oracle(self, ds):
+        # The full-rank fit counts literal-label pairs; its scores must have
+        # the bits of the ones read from the whole centred Burt matrix, and
+        # mine what the eager K-based fit (components at the rank) mines.
+        ind = build_indicator(ds)
+        model = fit(ind)
+        table = score_table(model, ds)
+        assert "matrix" not in vars(ind)
+        assert np.array_equal(table.scores, burt_scores(ds), equal_nan=True)
+        config = MinerConfig(s_min=0.1, mu_min=0.0)
+        assert mine(ds, model, config) == mine(ds, fit(ind, components=ind.n_columns), config)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ds=count_path_datasets())
+    def test_lazy_gram_is_centred_burt(self, ds):
+        ind = build_indicator(ds)
+        model = fit(ind)
+        assert "gram" not in vars(model)
+        np.testing.assert_array_equal(model.gram, centred_burt(ds))
+        assert "matrix" not in vars(ind)
+        eager = fit(ind, components=ind.n_columns)
+        np.testing.assert_array_equal(model.category_coords, eager.category_coords)
+        np.testing.assert_array_equal(model.singular_values, eager.singular_values)
+
+    def test_full_rank_builds_no_one_hot_and_truncated_counts_nothing(self, monkeypatch):
+        ds = random_dataset(np.random.default_rng(3), n=60, sizes=[2, 3, 4])
+        real_one_hot = mca._one_hot
+
+        def refuse(*_):
+            raise AssertionError("this path must not call it")
+
+        monkeypatch.setattr(mca, "_one_hot", refuse)
+        ind = build_indicator(ds)
+        model = fit(ind)
+        mine(ds, model, MinerConfig(s_min=0.1, mu_min=0.0))
+        assert "matrix" not in vars(ind) and "gram" not in vars(model)
+        # The truncated fit needs the one-hot anyway; it must not count too.
+        monkeypatch.setattr(mca, "_one_hot", real_one_hot)
+        monkeypatch.setattr(mca, "_literal_label_counts", refuse)
+        score_table(fit(build_indicator(ds), components=1), ds)
+
+
+    @pytest.mark.parametrize("n, p", [(3_000, 40), (500, 2_000)])
+    def test_counts_over_several_row_blocks_match_burt_oracle(self, n, p):
+        ds = synthetic_dataset(n, p, 3, 0.1, 0.5, seed=n + p)
+        assert ds.n > max(64, mca.COUNT_BLOCK_CELLS // ds.p)
+        table = score_table(fit(build_indicator(ds)), ds)
+        assert np.array_equal(table.scores, burt_scores(ds), equal_nan=True)
+
+
+class TestMemory:
+    def test_full_rank_scoring_stays_far_below_the_one_hot(self):
+        ds = synthetic_dataset(20_000, 100, 3, 0.1, 0.5, seed=0)
+        one_hot_bytes = ds.n * (int(ds.literal_offsets[-1]) + ds.n_labels) * 8
+        tracemalloc.start()
+        try:
+            score_table(fit(build_indicator(ds)), ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_hot_bytes / 10

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
-from mcarules.metrics import accuracy, cohen_kappa, confusion_matrix, roc_auc
+from mcarules.metrics import _average_ranks, accuracy, cohen_kappa, confusion_matrix, roc_auc
 
 
 def trapezoid_auc(y_true, scores):
@@ -130,6 +131,24 @@ class TestRocAuc:
             data.draw(st.permutations(list(range(n))))
         ).astype(float)
         assert roc_auc(y, s) + roc_auc(y, -s) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_ranks_and_auc_match_scipy(self, data):
+        # A small pool of values forces ties; NaN, infinities and signed
+        # zeros are drawn too. Ranks and AUCs must have scipy's exact bits,
+        # and any NaN score gives NaN ranks and a NaN AUC, as in scipy.
+        pool = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.inf, -np.inf, np.nan])
+        values = data.draw(st.lists(st.one_of(pool, st.floats()), min_size=2, max_size=40))
+        s = np.array(values)
+        want = rankdata(s, method="average")
+        assert np.array_equal(_average_ranks(s), want, equal_nan=True)
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=s.size, max_size=s.size)))
+        y[:2] = [0, 1]
+        positive = y == 1
+        n_pos, n_neg = int(positive.sum()), int((~positive).sum())
+        scipy_auc = (float(want[positive].sum()) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert np.array_equal(roc_auc(y, s), scipy_auc, equal_nan=True)
 
 
 class TestCohenKappa:
