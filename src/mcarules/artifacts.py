@@ -190,7 +190,9 @@ def read_rules(path, dataset: CategoricalDataset) -> MiningResult:
                     support=float(rec["support"]),
                 )
             )
-        except (KeyError, TypeError) as exc:
+        except ArtifactError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:  # an unknown label, a non-numeric score
             raise ArtifactError(f"{path}: bad rule record: {exc}") from None
     per_label = tuple(
         tuple(sr for sr in scored if sr.label == k)
@@ -285,6 +287,8 @@ def read_model(path) -> ModelArtifact:
     if payload.get("kind") != "model":
         raise ArtifactError(f"{path}: not a model file")
     label_names = tuple(_require(payload, "label_names", path))
+    if len(set(label_names)) != len(label_names):
+        raise ArtifactError(f"{path}: duplicate label names {list(label_names)}")
     attributes = _schemas_from_records(_require(payload, "attributes", path), path)
     index = {s.name: j for j, s in enumerate(attributes)}
     rules = []

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from operator import getitem
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dataset import CategoricalDataset
 from .miner import Rule, rule_mask
@@ -146,11 +145,10 @@ class TrainDiagnostics:
 class Evaluator:
     """Precomputed matchers and prior tables for one (dataset, mined rules) pair.
 
-    Rows are split by label and bit-packed: label k's training rows, in row
-    order, fill ``uint64`` words little-end first, and every label is padded
-    with zero bits to the same word count. ``packed[i, k]`` holds the label-k
-    rows rule i matches and ``label_rows[k]`` every label-k row, so a
-    clause's label counts are popcounts of its captured words.
+    Rows are split by label and bit-packed as in the dataset's
+    ``literal_bits``. ``packed[i, k]``, the AND of its literals' words, holds
+    the label-k rows rule i matches and ``label_rows[k]`` every label-k row,
+    so a clause's label counts are popcounts of its captured words.
 
     The log-prior and the log-likelihood are each the correctly rounded sum
     (``math.fsum``) of one term per position or clause, so their values do
@@ -158,6 +156,10 @@ class Evaluator:
     """
 
     def __init__(self, dataset: CategoricalDataset, mined_rules, config: BrlConfig):
+        # Imported here, not at module level, so that commands that never
+        # sample (predict, render, mine) do not load scipy.
+        from scipy.special import gammaln
+
         self.rules = tuple(mined_rules)
         if not self.rules:
             raise ValueError("mined rule set is empty")
@@ -166,19 +168,14 @@ class Evaluator:
         self.config = config
         self.alpha = config.resolve_alpha(dataset.n_labels)
         n = dataset.n
-        rows = [np.flatnonzero(dataset.Y == k) for k in range(dataset.n_labels)]
-        words = max(-(-r.size // 64) for r in rows)
-        # Row n is an appended False, the bit every padding slot reads.
-        slots = np.full((dataset.n_labels, 64 * words), n)
-        for k, r in enumerate(rows):
-            slots[k, :r.size] = r
-
-        def pack(mask):
-            bits = np.append(mask, False)[slots]
-            return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
-
-        self.packed = np.stack([pack(rule_mask(r, dataset.X)) for r in self.rules])
-        self.label_rows = pack(np.ones(n, dtype=bool))
+        bits, offsets = dataset.literal_bits, dataset.literal_offsets.tolist()
+        self.packed = np.stack([
+            np.bitwise_and.reduce(
+                bits[:, [offsets[lit.attribute] + lit.category for lit in r.literals]], axis=1)
+            for r in self.rules
+        ])
+        # Every row holds exactly one of attribute 0's literals.
+        self.label_rows = np.bitwise_or.reduce(bits[:, :offsets[1]], axis=1)
         self.n_rules = len(self.rules)
         self.max_len = self.n_rules
         if config.max_list_length is not None:
@@ -207,8 +204,8 @@ class Evaluator:
         # Log-gamma tables for the likelihood: a clause holds at most every
         # row of a label, and at most n rows in all.
         self._lgamma_label = [
-            array("d", gammaln(np.arange(r.size + 1) + a).tobytes())
-            for r, a in zip(rows, self.alpha)
+            array("d", gammaln(np.arange(count + 1) + a).tobytes())
+            for count, a in zip(dataset.label_counts().tolist(), self.alpha)
         ]
         self._lgamma_total = array(
             "d", gammaln(np.arange(n + 1) + self.alpha.sum()).tobytes()

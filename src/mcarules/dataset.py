@@ -149,6 +149,31 @@ class CategoricalDataset(FeatureTable):
     def label_counts(self) -> np.ndarray:
         return np.bincount(self.Y, minlength=self.n_labels)
 
+    @cached_property
+    def literal_bits(self) -> np.ndarray:
+        """Each label's rows on which each flat literal holds, bit-packed.
+
+        Shape ``(n_labels, n_literals, W)``, little-endian ``uint64``: bit
+        i % 64 of word i // 64 of ``literal_bits[k, l]`` is set when flat
+        literal l holds on the i-th label-k row, in row order. Every label is
+        padded with clear bits to the same W, enough words for the largest
+        label. This is the one packed-row layout: the full-rank fit's counts,
+        the miner's supports and the sampler's captures all read it. Built on
+        first read, one attribute at a time, and read-only.
+        """
+        offsets = self.literal_offsets.tolist()
+        rows = [np.flatnonzero(self.Y == k) for k in range(self.n_labels)]
+        words = max(-(-r.size // 64) for r in rows)
+        bits = np.zeros((self.n_labels, offsets[-1], words), dtype="<u8")
+        octets = bits.view(np.uint8)  # byte b of a little-endian word holds bits 8b..8b+7
+        for k, r in enumerate(rows):
+            for j, (start, stop) in enumerate(zip(offsets, offsets[1:])):
+                held = self.X[r, j] == np.arange(stop - start)[:, None]
+                packed = np.packbits(held, axis=1, bitorder="little")
+                octets[k, start:stop, :packed.shape[1]] = packed
+        bits.setflags(write=False)
+        return bits
+
 
 def quantize_numeric(values, bins: int) -> np.ndarray:
     """Equal-frequency binning of ``values`` into ``bins`` categories.

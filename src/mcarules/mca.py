@@ -7,9 +7,9 @@ between a literal's row and a label's row is the literal-label score consumed
 by the rule miner; with every component kept it is the phi coefficient of the
 two indicator columns, (n·n_lk − f_l·g_k) / sqrt(f_l(n−f_l)·g_k(n−g_k)). A
 full-rank fit is therefore just exact integer counts of literal-label pairs,
-taken straight from the dataset's codes: it builds neither Z nor the Burt
-matrix. Those are built only for what reads them: the coordinates, the whole
-centred Burt matrix, or a truncated fit.
+the popcounts of the dataset's packed literal rows (``literal_bits``): it
+builds neither Z nor the Burt matrix. Those are built only for what reads
+them: the coordinates, the whole centred Burt matrix, or a truncated fit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .dataset import CategoricalDataset, Literal
 
 EIG_TOL = 1e-12
 NORM_TOL = 1e-12
-COUNT_BLOCK_CELLS = 1 << 16
 
 
 class ScoreUndefinedError(ValueError):
@@ -171,34 +170,13 @@ def _principal_coordinates(K: np.ndarray, counts: np.ndarray) -> tuple[np.ndarra
     return coords, sigma
 
 
-def _literal_label_counts(dataset: CategoricalDataset) -> np.ndarray:
-    """n_lk, the rows where flat literal l and label k both hold, as a J×L array.
-
-    Cell (i, j) adds one to the count at ``(literal_offsets[j] + X[i, j])·L
-    + Y[i]``, summed with one ``bincount`` per block of rows. A block holds
-    about ``COUNT_BLOCK_CELLS`` cells, so every temporary stays small and
-    each block reads whole rows; at least 64 rows, so that adding each
-    block's J·L counts costs little next to counting its cells.
-    """
-    L = dataset.n_labels
-    size = int(dataset.literal_offsets[-1]) * L
-    starts = dataset.literal_offsets[:-1] * L
-    step = max(64, COUNT_BLOCK_CELLS // dataset.p)
-    n_lk = np.zeros(size, dtype=np.int64)
-    for i in range(0, dataset.n, step):
-        codes = dataset.X[i:i + step] * L
-        codes += starts
-        codes += dataset.Y[i:i + step, None]
-        n_lk += np.bincount(codes.ravel(), minlength=size)
-    return n_lk.reshape(-1, L)
-
-
 def fit(indicator: IndicatorMatrix, components: int | None = None) -> McaModel:
     """Correspondence analysis of the indicator matrix Z.
 
-    The full-rank fit (``components`` None) is exact integer counts read from
-    the dataset's codes, never from Z: n_lk per literal l and label k, the
-    literal counts f_l = Σ_k n_lk and the label counts g_k. Its scoring block
+    The full-rank fit (``components`` None) is exact integer counts, never
+    read from Z: n_lk per literal l and label k, the popcount of the
+    dataset's packed rows ``literal_bits[k, l]``, the literal counts
+    f_l = Σ_k n_lk and the label counts g_k. Its scoring block
     is n·n_lk − f_l g_k and its diagonal f(n−f), the entries of the centred
     Burt matrix K = n·ZᵀZ − f fᵀ that scoring reads; K itself and the
     coordinates are computed when first read (``McaModel``).
@@ -215,9 +193,9 @@ def fit(indicator: IndicatorMatrix, components: int | None = None) -> McaModel:
     dataset = indicator.dataset
     J = int(dataset.literal_offsets[-1])
     if components is None:
-        n_lk = _literal_label_counts(dataset)
+        n_lk = np.bitwise_count(dataset.literal_bits).sum(axis=-1, dtype=np.int64).T
         f = n_lk.sum(axis=1)
-        g = np.bincount(dataset.Y, minlength=dataset.n_labels)
+        g = dataset.label_counts()
         counts = np.concatenate([f, g])
         return McaModel(column_counts=counts, literal_label=dataset.n * n_lk - np.outer(f, g),
                         diagonal=counts * (dataset.n - counts), dataset=dataset)

@@ -180,9 +180,10 @@ def mine(
 
     Labels are mined independently, on up to ``n_workers`` threads (default:
     one per core). Each frontier rule is extended by every free literal at
-    once: one array pass scores all children, supports are counted only for
-    children at or above the working score floor, and rule objects are built
-    only for children that pass both floors. A score adds the literal scores
+    once: one array pass scores all children, supports are counted, as
+    popcounts of the dataset's ``literal_bits``, only for children at or
+    above the working score floor, and rule objects are built only for
+    children that pass both floors. A score adds the literal scores
     left to right in canonical literal order, as ``rule_score`` does, and a
     support is the same integer ratio as ``support``'s, so every rule comes
     out bit-identical however it was reached and whatever the worker count.
@@ -197,13 +198,14 @@ def mine(
 
     attribute_of = np.repeat(np.arange(dataset.p), np.diff(dataset.literal_offsets))
     class_counts = dataset.label_counts()
+    literal_bits = dataset.literal_bits  # built here, before any label thread reads it
 
     def mine_label(k: int) -> tuple[ScoredRule, ...]:
         if class_counts[k] == 0 or np.isnan(rho_bar[k]):
             return ()
         return _mine_one_label(
             table, scores[:, k], float(rho_bar[k]), config, k, attribute_of,
-            _class_literal_bits(dataset, k), int(class_counts[k]),
+            literal_bits[k], int(class_counts[k]),
         )
 
     workers = n_workers or os.cpu_count() or 1
@@ -215,19 +217,6 @@ def mine(
             per_label = list(pool.map(mine_label, range(dataset.n_labels)))
 
     return union_of(per_label)
-
-
-def _class_literal_bits(dataset: CategoricalDataset, k: int) -> np.ndarray:
-    """Packed literal masks over the class-``k`` rows.
-
-    Bit i of row ``flat`` is set when flat literal ``flat`` holds on the
-    i-th class-``k`` row; pad bits are clear.
-    """
-    rows = np.flatnonzero(dataset.Y == k)
-    return np.concatenate([
-        np.packbits(dataset.X[rows, j] == np.arange(schema.n_categories)[:, None], axis=1)
-        for j, schema in enumerate(dataset.schemas)
-    ])
 
 
 def _mine_one_label(

@@ -1,7 +1,7 @@
 """Helpers that only the tests use: literals in flat order, literal masks and
-text, CSV writing, the full-rank scores from the dense Burt matrix, a whole
-sampler chain, and the sampler's log-posterior of a rule list, exact and term
-by term."""
+text, a never-seen category, CSV writing, the full-rank scores from the dense
+Burt matrix, a whole sampler chain, and the sampler's log-posterior of a rule
+list, exact and term by term."""
 
 import csv
 import math
@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from mcarules.brl import Evaluator, RuleList, _advance, _fresh_chain
-from mcarules.dataset import Literal
+from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
 from mcarules.mca import NORM_TOL, build_indicator
 from mcarules.miner import rule_mask
 
@@ -33,6 +33,13 @@ def literal_mask(dataset, literal):
 def describe_literal(dataset, literal) -> str:
     schema = dataset.schemas[literal.attribute]
     return f"{schema.name} is {schema.categories[literal.category]}"
+
+
+def with_never_seen_category(ds, j):
+    """The dataset with one more category, taken by no row, on attribute ``j``."""
+    schemas = list(ds.schemas)
+    schemas[j] = AttributeSchema(name=schemas[j].name, categories=schemas[j].categories + ("never",))
+    return CategoricalDataset(schemas=tuple(schemas), X=ds.X, Y=ds.Y, label_names=ds.label_names)
 
 
 def write_dataset_csv(dataset, path) -> None:

@@ -138,6 +138,21 @@ class TestRulesRoundTrip:
         with pytest.raises(ArtifactError, match="label names"):
             read_rules(path, other)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("label", "maybe", "'maybe' is not in list"),
+        ("score", "high", "could not convert string to float: 'high'"),
+    ])
+    def test_bad_record_value_names_the_file(self, tmp_path, field, value, message):
+        ds = small_dataset()
+        path = tmp_path / "rules.json"
+        write_rules(path, small_mining_result(), ds, MinerConfig())
+        payload = json.loads(path.read_text())
+        payload["rules"][1][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArtifactError) as caught:
+            read_rules(path, ds)
+        assert str(caught.value) == f"{path}: bad rule record: {message}"
+
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "rules.json"
         path.write_text("{not json")
@@ -270,6 +285,18 @@ class TestModelRoundTrip:
         path = tmp_path / "rules.json"
         write_rules(path, small_mining_result(), ds, MinerConfig())
         with pytest.raises(ArtifactError, match="not a model"):
+            read_model(path)
+
+    def test_duplicate_label_names_rejected(self, tmp_path):
+        # Two labels of one name would write a p_a,p_a prediction header.
+        ds = small_dataset()
+        rule_list, diagnostics = small_model(ds)
+        path = tmp_path / "model.json"
+        write_model(path, rule_list, diagnostics, ds, BrlConfig())
+        payload = json.loads(path.read_text())
+        payload["label_names"] = ["a", "a"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ArtifactError, match=r"duplicate label names \['a', 'a'\]"):
             read_model(path)
 
 

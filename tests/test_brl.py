@@ -12,7 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import flat_literals, log_posterior, reference_log_posterior, run_chain
+from helpers import (
+    flat_literals,
+    log_posterior,
+    reference_log_posterior,
+    run_chain,
+    with_never_seen_category,
+)
 from mcarules.artifacts import read_model, write_model
 from mcarules.brl import (
     BrlConfig,
@@ -28,7 +34,8 @@ from mcarules.brl import (
     train,
 )
 from mcarules.dataset import AttributeSchema, CategoricalDataset, FeatureTable, Literal
-from mcarules.miner import Rule, rule_mask
+from mcarules.mca import build_indicator, fit
+from mcarules.miner import MinerConfig, Rule, mine, rule_mask
 
 
 def dataset_from_matrix(X, Y, n_labels=2, sizes=None):
@@ -222,6 +229,46 @@ class TestPackedCapture:
                 bits = np.unpackbits(words[k].view(np.uint8), bitorder="little")
                 np.testing.assert_array_equal(bits[:label_rows.size], rows[label_rows])
                 assert not bits[label_rows.size:].any()
+
+
+class TestLiteralBits:
+    @pytest.mark.parametrize("never_seen", [False, True])
+    @pytest.mark.parametrize(
+        "n, empty_label", [(1, None), (63, 2), (64, None), (65, 0), (128, 1), (128, None)]
+    )
+    def test_unpacks_to_each_labels_literal_rows(self, n, empty_label, never_seen):
+        ds, _ = packing_case(n, seed=n, empty_label=empty_label)
+        if never_seen:
+            ds = with_never_seen_category(ds, 1)
+        bits = ds.literal_bits
+        literals = flat_literals(ds)
+        words = -(-int(ds.label_counts().max()) // 64)
+        assert bits.shape == (ds.n_labels, len(literals), words)
+        assert bits.dtype == np.uint64 and not bits.flags.writeable
+        for k in range(ds.n_labels):
+            rows = np.flatnonzero(ds.Y == k)
+            for l, lit in enumerate(literals):
+                unpacked = np.unpackbits(bits[k, l].view(np.uint8), bitorder="little")
+                np.testing.assert_array_equal(
+                    unpacked[:rows.size], ds.X[rows, lit.attribute] == lit.category
+                )
+                assert not unpacked[rows.size:].any()
+
+    def test_fit_mine_and_evaluator_build_it_once(self, monkeypatch):
+        built = []
+        cached = CategoricalDataset.__dict__["literal_bits"]
+        build = cached.func
+
+        def counted(dataset):
+            built.append(dataset)
+            return build(dataset)
+
+        monkeypatch.setattr(cached, "func", counted)
+        ds = informative_dataset(np.random.default_rng(5))
+        mined = mine(ds, fit(build_indicator(ds)), MinerConfig(s_min=0.1, mu_min=0.0))
+        assert mined.rules
+        Evaluator(ds, tuple(sr.rule for sr in mined.rules), BrlConfig())
+        assert len(built) == 1 and built[0] is ds
 
 
 class TestLogPosterior:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import burt_scores, centred_burt, flat_literals
+from helpers import burt_scores, centred_burt, flat_literals, with_never_seen_category
 from mcarules import mca
 from mcarules.benchmark import synthetic_dataset
 from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal, subset
@@ -369,13 +369,6 @@ def small_datasets(draw):
     )
 
 
-def with_never_seen_category(ds, j):
-    """The dataset with one more category, taken by no row, on attribute ``j``."""
-    schemas = list(ds.schemas)
-    schemas[j] = AttributeSchema(name=schemas[j].name, categories=schemas[j].categories + ("never",))
-    return CategoricalDataset(schemas=tuple(schemas), X=ds.X, Y=ds.Y, label_names=ds.label_names)
-
-
 class TestPhiIdentity:
     @settings(max_examples=150, deadline=None)
     @given(ds=small_datasets())
@@ -518,16 +511,19 @@ class TestFullRankCounts:
         model = fit(ind)
         mine(ds, model, MinerConfig(s_min=0.1, mu_min=0.0))
         assert "matrix" not in vars(ind) and "gram" not in vars(model)
-        # The truncated fit needs the one-hot anyway; it must not count too.
+        # The truncated fit needs the one-hot anyway; it must not count too,
+        # so a fresh dataset's packed literal rows stay unbuilt.
         monkeypatch.setattr(mca, "_one_hot", real_one_hot)
-        monkeypatch.setattr(mca, "_literal_label_counts", refuse)
-        score_table(fit(build_indicator(ds), components=1), ds)
+        fresh = subset(ds, np.arange(ds.n))
+        score_table(fit(build_indicator(fresh), components=1), fresh)
+        assert "literal_bits" not in vars(fresh)
 
 
     @pytest.mark.parametrize("n, p", [(3_000, 40), (500, 2_000)])
     def test_counts_over_several_row_blocks_match_burt_oracle(self, n, p):
+        # Each label's rows fill several packed 64-row words, all popcounted.
         ds = synthetic_dataset(n, p, 3, 0.1, 0.5, seed=n + p)
-        assert ds.n > max(64, mca.COUNT_BLOCK_CELLS // ds.p)
+        assert ds.label_counts().min() > 64
         table = score_table(fit(build_indicator(ds)), ds)
         assert np.array_equal(table.scores, burt_scores(ds), equal_nan=True)
 
