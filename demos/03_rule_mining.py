@@ -3,8 +3,8 @@ Mining candidate rules with cosine scores vs. frequency counting
 ================================================================
 
 Runs both miners on the survival table: the cosine-guided miner prunes
-with correspondence-analysis scores, while the level-wise baseline counts
-co-occurrence frequencies the classic way. Both emit (rule, label, score,
+with correspondence-analysis scores, while the level-wise baseline keeps
+every itemset frequent enough for some label. Both emit (rule, label, score,
 support) records under the same support floor.
 """
 

@@ -1,10 +1,11 @@
-"""Classic level-wise Apriori rule mining, used as the frequency-counting baseline.
+"""Level-wise frequent-itemset rule mining, used as the frequency-counting baseline.
 
-Rows become transactions of literal ids (one per attribute); frequent
-itemsets grow level by level with downward-closure pruning and a full
-transaction scan per level. Deliberately the textbook single-threaded
-algorithm: its runtime as the literal count grows is the comparison point
-for the cosine-scored miner, so no vectorization tricks are applied.
+Supports are counted vertically, Eclat-style: each label's rows of an
+itemset are the AND of its literals' packed rows in the dataset's
+``literal_bits``, and a support is a popcount. Frequent itemsets grow one
+level at a time; each is extended, in one array pass, by every frequent
+single literal on a later attribute. Its runtime as the literal count grows
+is the comparison point for the cosine-scored miner.
 """
 
 from __future__ import annotations
@@ -43,8 +44,11 @@ def apriori_mine(
     An itemset is frequent when its support within some label class reaches
     ``s_min``; every emitted rule is annotated per qualifying label with that
     support and with its confidence (matched-and-labelled over matched),
-    which serves as its score. A run stopped by a budget keeps the itemsets
-    counted so far and reports status "budget_exceeded".
+    which serves as its score. ``max_candidates`` caps the itemsets whose
+    supports are counted, every single literal included; both budgets are
+    checked before the singles and before each itemset's extension. A run
+    stopped by a budget keeps every itemset counted so far, a partial last
+    level included, and reports status "budget_exceeded".
     """
     if s_min <= 0:
         raise ValueError("s_min must be positive")
@@ -53,16 +57,10 @@ def apriori_mine(
     config = config or AprioriConfig()
     started = time.monotonic()
 
-    offsets = dataset.literal_offsets
-    literal_of = {
-        int(offsets[j]) + cat: Literal(j, cat)
-        for j, schema in enumerate(dataset.schemas)
-        for cat in range(schema.n_categories)
-    }
-    transactions = [frozenset(row) for row in (dataset.X + offsets[:-1]).tolist()]
-    row_labels = [int(y) for y in dataset.Y]
+    bits = dataset.literal_bits
+    attribute_of = np.repeat(np.arange(dataset.p), np.diff(dataset.literal_offsets))
     class_counts = dataset.label_counts()
-    n_labels = dataset.n_labels
+    has_rows = class_counts > 0
 
     def out_of_budget(total):
         if config.max_candidates is not None and total > config.max_candidates:
@@ -71,46 +69,50 @@ def apriori_mine(
             return time.monotonic() - started > config.time_budget
         return False
 
-    def count_candidates(candidates):
-        counts = {c: np.zeros(n_labels, dtype=np.int64) for c in candidates}
-        for row, label in zip(transactions, row_labels):
-            for candidate in candidates:
-                if row.issuperset(candidate):
-                    counts[candidate][label] += 1
-        return counts
+    def count(words):
+        """Per-label hit counts, one row per itemset, of ``(labels, itemsets, W)`` words."""
+        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64).T
 
-    def is_frequent(label_counts):
-        for k in range(n_labels):
-            if class_counts[k] > 0 and label_counts[k] / class_counts[k] >= s_min:
-                return True
-        return False
+    def is_frequent(hits):
+        return (hits[:, has_rows] / class_counts[has_rows] >= s_min).any(axis=1)
 
-    frequent = {}  # itemset tuple -> per-label match counts
-    total_candidates = len(literal_of)
+    frequent = {}  # itemset tuple of flat literals -> per-label match counts
+    total_candidates = bits.shape[1]
     budget_hit = out_of_budget(total_candidates)
     if not budget_hit:
-        singles = [(flat,) for flat in sorted(literal_of)]
-        counts = count_candidates(singles)
-        level = {c: v for c, v in counts.items() if is_frequent(v)}
-        frequent.update(level)
-
-        for size in range(2, r_max + 1):
-            if not level or budget_hit:
+        hits = count(bits)
+        singles = np.flatnonzero(is_frequent(hits))
+        frequent.update(((f,), hits[f]) for f in singles.tolist())
+        level = list(frequent)
+        for _ in range(1, r_max):
+            grown = []
+            for itemset in level:
+                cand = singles[attribute_of[singles] > attribute_of[itemset[-1]]]
+                total_candidates += cand.size
+                budget_hit = out_of_budget(total_candidates)
+                if budget_hit:
+                    break
+                parent_words = np.bitwise_and.reduce(bits[:, itemset], axis=1)
+                hits = count(bits[:, cand] & parent_words[:, None])
+                kept = is_frequent(hits)
+                for f, label_counts in zip(cand[kept].tolist(), hits[kept]):
+                    child = itemset + (f,)
+                    frequent[child] = label_counts
+                    grown.append(child)
+            if budget_hit:
                 break
-            candidates = _join_level(sorted(level), level)
-            total_candidates += len(candidates)
-            if out_of_budget(total_candidates):
-                budget_hit = True
-                break
-            counts = count_candidates(candidates)
-            level = {c: v for c, v in counts.items() if is_frequent(v)}
-            frequent.update(level)
+            level = grown
 
-    buckets = [[] for _ in range(n_labels)]
+    literal_of = [
+        Literal(j, cat)
+        for j, schema in enumerate(dataset.schemas)
+        for cat in range(schema.n_categories)
+    ]
+    buckets = [[] for _ in range(dataset.n_labels)]
     for itemset, label_counts in frequent.items():
         rule = Rule.of(literal_of[f] for f in itemset)
         matched = int(label_counts.sum())
-        for k in range(n_labels):
+        for k in range(dataset.n_labels):
             if class_counts[k] == 0:
                 continue
             supp = label_counts[k] / class_counts[k]
@@ -122,22 +124,3 @@ def apriori_mine(
     return union_of(
         [rank(b) for b in buckets], "budget_exceeded" if budget_hit else None
     )
-
-
-def _join_level(sorted_itemsets, frequent_level):
-    """F(k-1) x F(k-1) join with downward-closure pruning."""
-    candidates = []
-    n = len(sorted_itemsets)
-    for a in range(n):
-        first = sorted_itemsets[a]
-        for b in range(a + 1, n):
-            second = sorted_itemsets[b]
-            if first[:-1] != second[:-1]:
-                break  # sorted order: no further shared prefixes
-            candidate = first + (second[-1],)
-            if all(
-                candidate[:i] + candidate[i + 1:] in frequent_level
-                for i in range(len(candidate) - 2)
-            ):
-                candidates.append(candidate)
-    return candidates

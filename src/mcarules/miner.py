@@ -19,7 +19,7 @@ from itertools import accumulate
 import numpy as np
 
 from .dataset import CategoricalDataset, Literal
-from .mca import McaModel, ScoreTable, score_table
+from .mca import McaModel, score_table
 
 
 @dataclass(frozen=True, order=True)
@@ -144,21 +144,6 @@ def rule_mask(rule: Rule, X: np.ndarray) -> np.ndarray:
     return mask
 
 
-def support(rule: Rule, dataset: CategoricalDataset, label: int) -> float:
-    """Fraction of class-``label`` rows on which the rule is true."""
-    class_mask = dataset.Y == label
-    total = int(class_mask.sum())
-    if total == 0:
-        raise ValueError(f"label class {label} has no samples; support undefined")
-    hits = int(np.count_nonzero(rule_mask(rule, dataset.X) & class_mask))
-    return hits / total
-
-
-def rule_score(rule: Rule, table: ScoreTable, label: int) -> float:
-    """Mean literal-label score over the rule's literals, in canonical order."""
-    return sum(table.score(lit, label) for lit in rule.literals) / len(rule)
-
-
 def score_bound(current_len: int, mu_min: float, rho_bar_k: float) -> float:
     """Smallest rule score from which some extension can still reach ``mu_min``.
 
@@ -183,10 +168,10 @@ def mine(
     once: one array pass scores all children, supports are counted, as
     popcounts of the dataset's ``literal_bits``, only for children at or
     above the working score floor, and rule objects are built only for
-    children that pass both floors. A score adds the literal scores
-    left to right in canonical literal order, as ``rule_score`` does, and a
-    support is the same integer ratio as ``support``'s, so every rule comes
-    out bit-identical however it was reached and whatever the worker count.
+    children that pass both floors. A score is the mean of the literal
+    scores, added left to right in canonical literal order, and a support is
+    the rule's hits over its label's row count, so every rule comes out
+    bit-identical however it was reached and whatever the worker count.
     """
     table = score_table(model, dataset)
     scores = table.scores if config.signed else np.abs(table.scores)
@@ -268,8 +253,8 @@ def _mine_one_label(
             free = ~used[defined_attrs]
             cand = defined[free]
             # A child's score sums its literal scores left to right in
-            # canonical order, as rule_score does: the parent's scores before
-            # the candidate's slot, the candidate, then the parent's rest.
+            # canonical order: the parent's scores before the candidate's
+            # slot, the candidate, then the parent's rest.
             slot = np.searchsorted(parent, cand)
             prefix = np.fromiter(accumulate(parent_scores.tolist(), initial=0.0), float)
             acc = prefix[slot] + defined_scores[free]

@@ -1,19 +1,22 @@
 """Helpers that only the tests use: literals in flat order, literal masks and
-text, a never-seen category, CSV writing, the full-rank scores from the dense
-Burt matrix, a whole sampler chain, and the sampler's log-posterior of a rule
-list, exact and term by term."""
+text, a never-seen category, CSV writing, a rule's support and score, the
+textbook Apriori miner, the full-rank scores from the dense Burt matrix, a
+whole sampler chain, and the sampler's log-posterior of a rule list, exact
+and term by term."""
 
 import csv
 import math
+import time
 from collections import Counter
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from mcarules.apriori import AprioriConfig
 from mcarules.brl import Evaluator, RuleList, _advance, _fresh_chain
 from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
 from mcarules.mca import NORM_TOL, build_indicator
-from mcarules.miner import rule_mask
+from mcarules.miner import Rule, ScoredRule, rank, rule_mask, union_of
 
 
 def flat_literals(dataset):
@@ -51,6 +54,126 @@ def write_dataset_csv(dataset, path) -> None:
             row = [dataset.schemas[j].categories[dataset.X[i, j]] for j in range(dataset.p)]
             row.append(dataset.label_names[dataset.Y[i]])
             writer.writerow(row)
+
+
+def support(rule, dataset, label) -> float:
+    """Fraction of class-``label`` rows on which the rule is true."""
+    class_mask = dataset.Y == label
+    total = int(class_mask.sum())
+    if total == 0:
+        raise ValueError(f"label class {label} has no samples; support undefined")
+    hits = int(np.count_nonzero(rule_mask(rule, dataset.X) & class_mask))
+    return hits / total
+
+
+def rule_score(rule, table, label) -> float:
+    """Mean literal-label score over the rule's literals, in canonical order."""
+    return sum(table.score(lit, label) for lit in rule.literals) / len(rule)
+
+
+def textbook_apriori(dataset, s_min, r_max, config=None):
+    """Textbook Apriori with ``apriori_mine``'s contract: the equivalence oracle.
+
+    Rows become transactions of literal ids (one per attribute); frequent
+    itemsets grow level by level by an F(k-1) x F(k-1) join with
+    downward-closure pruning and a full transaction scan per level. The
+    budgets are checked once per level, before its candidates are counted.
+    """
+    if s_min <= 0:
+        raise ValueError("s_min must be positive")
+    if r_max < 1:
+        raise ValueError("r_max must be at least 1")
+    config = config or AprioriConfig()
+    started = time.monotonic()
+
+    offsets = dataset.literal_offsets
+    literal_of = {
+        int(offsets[j]) + cat: Literal(j, cat)
+        for j, schema in enumerate(dataset.schemas)
+        for cat in range(schema.n_categories)
+    }
+    transactions = [frozenset(row) for row in (dataset.X + offsets[:-1]).tolist()]
+    row_labels = [int(y) for y in dataset.Y]
+    class_counts = dataset.label_counts()
+    n_labels = dataset.n_labels
+
+    def out_of_budget(total):
+        if config.max_candidates is not None and total > config.max_candidates:
+            return True
+        if config.time_budget is not None:
+            return time.monotonic() - started > config.time_budget
+        return False
+
+    def count_candidates(candidates):
+        counts = {c: np.zeros(n_labels, dtype=np.int64) for c in candidates}
+        for row, label in zip(transactions, row_labels):
+            for candidate in candidates:
+                if row.issuperset(candidate):
+                    counts[candidate][label] += 1
+        return counts
+
+    def is_frequent(label_counts):
+        for k in range(n_labels):
+            if class_counts[k] > 0 and label_counts[k] / class_counts[k] >= s_min:
+                return True
+        return False
+
+    frequent = {}  # itemset tuple -> per-label match counts
+    total_candidates = len(literal_of)
+    budget_hit = out_of_budget(total_candidates)
+    if not budget_hit:
+        singles = [(flat,) for flat in sorted(literal_of)]
+        counts = count_candidates(singles)
+        level = {c: v for c, v in counts.items() if is_frequent(v)}
+        frequent.update(level)
+
+        for size in range(2, r_max + 1):
+            if not level or budget_hit:
+                break
+            candidates = _join_level(sorted(level), level)
+            total_candidates += len(candidates)
+            if out_of_budget(total_candidates):
+                budget_hit = True
+                break
+            counts = count_candidates(candidates)
+            level = {c: v for c, v in counts.items() if is_frequent(v)}
+            frequent.update(level)
+
+    buckets = [[] for _ in range(n_labels)]
+    for itemset, label_counts in frequent.items():
+        rule = Rule.of(literal_of[f] for f in itemset)
+        matched = int(label_counts.sum())
+        for k in range(n_labels):
+            if class_counts[k] == 0:
+                continue
+            supp = label_counts[k] / class_counts[k]
+            if supp >= s_min:
+                confidence = label_counts[k] / matched
+                buckets[k].append(
+                    ScoredRule(rule=rule, label=k, score=confidence, support=supp)
+                )
+    return union_of(
+        [rank(b) for b in buckets], "budget_exceeded" if budget_hit else None
+    )
+
+
+def _join_level(sorted_itemsets, frequent_level):
+    """F(k-1) x F(k-1) join with downward-closure pruning."""
+    candidates = []
+    n = len(sorted_itemsets)
+    for a in range(n):
+        first = sorted_itemsets[a]
+        for b in range(a + 1, n):
+            second = sorted_itemsets[b]
+            if first[:-1] != second[:-1]:
+                break  # sorted order: no further shared prefixes
+            candidate = first + (second[-1],)
+            if all(
+                candidate[:i] + candidate[i + 1:] in frequent_level
+                for i in range(len(candidate) - 2)
+            ):
+                candidates.append(candidate)
+    return candidates
 
 
 def centred_burt(dataset):

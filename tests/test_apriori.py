@@ -1,13 +1,18 @@
 """Tests for the level-wise frequency-based baseline miner."""
 
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from helpers import support, textbook_apriori, with_never_seen_category
+from mcarules import apriori
 from mcarules.apriori import AprioriConfig, apriori_mine
 from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
-from mcarules.miner import MiningResult, Rule, ScoredRule, rule_mask, support
+from mcarules.miner import MiningResult, Rule, ScoredRule, rule_mask
 
 
 def random_dataset(rng, sizes, n, n_labels=2):
@@ -171,3 +176,80 @@ class TestAprioriMine:
         b = apriori_mine(ds, s_min=0.25, r_max=3)
         assert isinstance(a, MiningResult)
         assert a == b
+
+
+class TestTextbookEquivalence:
+    """Popcount counting over the packed literal rows against the textbook scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(2, 3), min_size=1, max_size=5),
+        n=st.integers(3, 70),
+        n_labels=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+        kept_fraction=st.sampled_from([1.0, 0.7, 0.3]),
+        dropped_label=st.sampled_from([None, 0, 1]),
+        never_seen=st.booleans(),
+        s_min=st.sampled_from([0.05, 0.1, 0.2, 1 / 3, 0.5, 0.75, 1.0, 1.01]),
+        r_max=st.integers(1, 4),
+    )
+    def test_equals_textbook_apriori(
+        self, sizes, n, n_labels, seed, kept_fraction, dropped_label, never_seen,
+        s_min, r_max,
+    ):
+        rng = np.random.default_rng(seed)
+        full = random_dataset(rng, sizes=sizes, n=n, n_labels=n_labels)
+        # A row subset: some labels may have no rows and some categories
+        # may never occur.
+        rows = np.flatnonzero(
+            (rng.random(n) < kept_fraction) & (full.Y != dropped_label)
+        )
+        assume(rows.size > 0)
+        ds = CategoricalDataset(
+            schemas=full.schemas, X=full.X[rows], Y=full.Y[rows],
+            label_names=full.label_names,
+        )
+        if never_seen:
+            ds = with_never_seen_category(ds, 0)
+        assert apriori_mine(ds, s_min, r_max) == textbook_apriori(ds, s_min, r_max)
+
+    def test_candidate_budget_keeps_a_subset_of_the_full_run(self):
+        ds = random_dataset(np.random.default_rng(11), sizes=[2, 3, 2, 3], n=60, n_labels=3)
+        full = apriori_mine(ds, s_min=0.1, r_max=3)
+        full_rules = set(full.rules)
+        partial = 0
+        for cap in range(1, 120):
+            stopped = apriori_mine(
+                ds, s_min=0.1, r_max=3, config=AprioriConfig(max_candidates=cap)
+            )
+            if stopped.status == "ok":
+                assert stopped == full
+                continue
+            assert stopped.status == "budget_exceeded"
+            # Same scores and supports: a rule counted before the stop keeps
+            # every label's entry of the full run.
+            assert set(stopped.rules) <= full_rules
+            for got, want in zip(stopped.per_label, full.per_label):
+                assert set(got) <= set(want)
+            partial += 0 < len(stopped.rules) < len(full_rules)
+        assert partial > 1
+
+    def test_time_budget_stops_inside_a_level(self, monkeypatch):
+        ds = random_dataset(np.random.default_rng(12), sizes=[2, 2, 2], n=40)
+        full = apriori_mine(ds, s_min=0.1, r_max=2)
+        # The clock reads 0 at the start, at the singles' check and at the
+        # first parent's check, and is past the budget from then on.
+        readings = iter([0.0, 0.0, 0.0])
+        monkeypatch.setattr(
+            apriori, "time", SimpleNamespace(monotonic=lambda: next(readings, 10.0))
+        )
+        stopped = apriori_mine(
+            ds, s_min=0.1, r_max=2, config=AprioriConfig(time_budget=1.0)
+        )
+        assert stopped.status == "budget_exceeded"
+        singles = {sr.rule for sr in full.rules if len(sr.rule) == 1}
+        pairs = {sr.rule for sr in full.rules if len(sr.rule) == 2}
+        first = min(singles).literals[0]
+        from_first = {r for r in pairs if r.literals[0] == first}
+        assert from_first and from_first != pairs
+        assert {sr.rule for sr in stopped.rules} == singles | from_first

@@ -12,7 +12,19 @@ from mcarules.benchmark import (
     summarize,
     synthetic_dataset,
 )
+from mcarules import benchmark
 from mcarules.miner import MinerConfig
+
+
+def record_timer_calls(monkeypatch, record):
+    """Patch both miner timers to log ``record(name, dataset)`` as each starts."""
+    calls = []
+    for name in ("_time_mca", "_time_apriori"):
+        def run(ds, *rest, name=name, timed=getattr(benchmark, name)):
+            calls.append(record(name, ds))
+            return timed(ds, *rest)
+        monkeypatch.setattr(benchmark, name, run)
+    return calls
 
 
 class TestSyntheticDataset:
@@ -95,20 +107,7 @@ class TestBenchmarkHarness:
         assert seen == rows
 
     def test_warm_up_pass_emits_no_row(self, monkeypatch):
-        from mcarules import benchmark
-
-        calls = []
-
-        def counted(name):
-            timed = getattr(benchmark, name)
-
-            def run(ds, *rest):
-                calls.append((name, ds.p))
-                return timed(ds, *rest)
-            return run
-
-        for name in ("_time_mca", "_time_apriori"):
-            monkeypatch.setattr(benchmark, name, counted(name))
+        calls = record_timer_calls(monkeypatch, lambda name, ds: (name, ds.p))
         config = BenchmarkConfig(
             attribute_grid=(3, 5), n=50, repetitions=2, miner=MinerConfig(M=5)
         )
@@ -122,6 +121,16 @@ class TestBenchmarkHarness:
         # One untimed pass of each miner on the 2-attribute table comes first.
         assert calls[:2] == [("_time_mca", 2), ("_time_apriori", 2)]
         assert len(calls) == len(rows) + 2
+
+    def test_each_miner_builds_its_own_literal_bits(self, monkeypatch):
+        prebuilt = record_timer_calls(
+            monkeypatch, lambda name, ds: (name, "literal_bits" in vars(ds))
+        )
+        config = BenchmarkConfig(
+            attribute_grid=(3,), n=50, repetitions=2, miner=MinerConfig(M=5)
+        )
+        run_benchmark(config, n_workers=1)
+        assert prebuilt == [("_time_mca", False), ("_time_apriori", False)] * 3
 
     def test_rows_flatten_for_csv(self):
         row = BenchRow(

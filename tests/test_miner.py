@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import flat_literals, literal_mask
+from helpers import flat_literals, literal_mask, rule_score, support
 from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
 from mcarules.mca import ScoreTable, ScoreUndefinedError, build_indicator, fit, score_table
 from mcarules.miner import (
@@ -18,9 +18,7 @@ from mcarules.miner import (
     mine,
     rank,
     rule_mask,
-    rule_score,
     score_bound,
-    support,
     union_of,
 )
 
