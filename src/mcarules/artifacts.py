@@ -224,6 +224,12 @@ class ModelArtifact:
     def n_labels(self) -> int:
         return len(self.label_names)
 
+    @property
+    def used_attributes(self) -> tuple[AttributeSchema, ...]:
+        """The schemas of the attributes the rules test, in attribute order."""
+        used = {lit.attribute for rule in self.rule_list.rules for lit in rule.literals}
+        return tuple(self.attributes[j] for j in sorted(used))
+
     def _rule_mask(self, rule: Rule, table: FeatureTable) -> np.ndarray:
         mask = np.ones(table.n, dtype=bool)
         for lit in rule.literals:

@@ -439,13 +439,25 @@ def cmd_predict(args) -> int:
     if args.label:
         ignore.add(args.label)
     table = load_feature_csv(
-        args.csv, ignore_columns=tuple(sorted(ignore)), **_ingest_options(args)
+        args.csv,
+        ignore_columns=tuple(sorted(ignore)),
+        schemas=artifact.used_attributes,
+        **_ingest_options(args),
     )
     probs = artifact.predict_proba(table)
-    predictions = np.argmax(probs, axis=1)
+    # Every row takes its clause's probabilities, so at most len(rules) + 1 rows
+    # differ. Each distinct row, found by its bytes, is rendered once; str gives
+    # a float the text csv.writer would.
+    keys = np.ascontiguousarray(probs).view(np.dtype((np.void, probs.itemsize * probs.shape[1])))
+    _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    distinct = probs[first]
     names = artifact.label_names
+    rendered = [
+        [names[k], *map(str, row)]
+        for k, row in zip(np.argmax(distinct, axis=1).tolist(), distinct.tolist())
+    ]
     header = ["prediction"] + [f"p_{name}" for name in names]
-    rows = [[names[k], *row] for k, row in zip(predictions.tolist(), probs.tolist())]
+    rows = [rendered[g] for g in inverse.ravel().tolist()]
     if args.out:
         write_csv(args.out, header, rows)
         print(f"wrote {len(rows)} predictions -> {args.out}")
@@ -467,16 +479,20 @@ def _confusion_text(counts: np.ndarray, names) -> str:
 def cmd_evaluate(args) -> int:
     artifact = read_model(args.model)
     label = args.label or artifact.label_name
-    dataset = load_csv(args.csv, label, **_ingest_options(args))
-    mapping = []
-    for name in dataset.label_names:
-        if name not in artifact.label_names:
-            raise DatasetError(
-                f"label {name!r} in {args.csv} is unknown to the model "
-                f"(knows {list(artifact.label_names)})"
-            )
-        mapping.append(artifact.label_names.index(name))
-    y_true = np.asarray(mapping, dtype=np.int64)[dataset.Y]
+    dataset = load_csv(
+        args.csv,
+        label,
+        schemas=artifact.used_attributes,
+        label_names=artifact.label_names,
+        **_ingest_options(args),
+    )
+    unknown = dataset.label_names[artifact.n_labels:]
+    if unknown:
+        raise DatasetError(
+            f"label {unknown[0]!r} in {args.csv} is unknown to the model "
+            f"(knows {list(artifact.label_names)})"
+        )
+    y_true = dataset.Y
     probs = artifact.predict_proba(dataset)
     y_pred = np.argmax(probs, axis=1)
     counts = confusion_matrix(y_true, y_pred, n_labels=artifact.n_labels)

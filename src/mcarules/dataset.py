@@ -3,7 +3,9 @@
 Every other module consumes the :class:`CategoricalDataset` produced here: an
 ``n x p`` matrix of category indices plus a length-``n`` vector of label
 indices. Category order within each column is first-occurrence order, fixed at
-load time, so literal indices are reproducible across runs.
+load time, so literal indices are reproducible across runs. Data read against
+a saved model's schemas keeps the model's order, and values the model never
+saw follow it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ import numpy as np
 
 KIND_CATEGORICAL = "categorical"
 KIND_QUANTIZED = "quantized-numeric"
+
+# Rows read, checked and coded at a time: ingest holds the cells of one chunk.
+# Small chunks stay in cache: on a 25,000-row, 31-column file, predict took
+# 75 ms at 512 rows against 99 ms at 8,192 (2-vCPU container).
+CHUNK_ROWS = 512
 
 
 class DatasetError(ValueError):
@@ -81,8 +88,6 @@ class FeatureTable:
             raise DatasetError("X must be a 2-d matrix of category indices")
         if len(self.schemas) != X.shape[1]:
             raise DatasetError("schema count does not match X columns")
-        if X.shape[1] < 1:
-            raise DatasetError(f"{self._noun} has no attributes")
         if X.shape[0] < 1:
             raise DatasetError(f"{self._noun} has no rows")
         for j, schema in enumerate(self.schemas):
@@ -252,6 +257,8 @@ def load_csv(
     label_column: str,
     numeric_bins: dict[str, int] | None = None,
     missing_as_category: bool = False,
+    schemas: tuple[AttributeSchema, ...] | None = None,
+    label_names: tuple[str, ...] = (),
 ) -> CategoricalDataset:
     """Load a header-rowed CSV into a :class:`CategoricalDataset`.
 
@@ -261,6 +268,11 @@ def load_csv(
     a row-numbered error unless ``missing_as_category`` is set, in which case
     the empty string becomes an explicit category. A leading UTF-8 byte-order
     mark is dropped.
+
+    With ``schemas``, the attributes a saved model reads, only their columns
+    and the label are read, and the attributes are coded as by
+    :func:`load_feature_csv`. The labels are then coded against
+    ``label_names``, and a label not among them is appended after them.
     """
     numeric_bins = dict(numeric_bins or {})
     with _open_csv(path) as fh:
@@ -276,18 +288,18 @@ def load_csv(
             raise DatasetError(f"{path}: no data rows")
         if len(header) < 2:
             raise DatasetError(f"{path}: no attribute columns besides the label")
-        columns = _read_columns(fh, path, header, rows, range(len(header)), missing_as_category)
-        labels = columns.pop(header.index(label_column))
-        schemas, X = _encode_columns(path, header, columns, numeric_bins, partial(_line_of, fh))
-    label_names, y = _first_occurrence_codes(labels)
-    if len(label_names) < 2:
+        attributes = _attribute_columns(header, numeric_bins, schemas, {label_column})
+        label = _Column(label_column, categories=label_names)
+        kept = {**attributes, header.index(label_column): label}
+        n = _read_chunked(fh, path, header, rows, kept, missing_as_category)
+        schemas, X = _fill(path, attributes.values(), n, partial(_line_of, fh))
+    if len(label.lookup) < 2:
         raise DatasetError(f"{path}: label column {label_column!r} has a single class")
-
     return CategoricalDataset(
         schemas=schemas,
         X=X,
-        Y=y,
-        label_names=label_names,
+        Y=np.concatenate(label.chunks),
+        label_names=tuple(label.lookup),
         label_name=label_column,
     )
 
@@ -297,15 +309,24 @@ def load_feature_csv(
     numeric_bins: dict[str, int] | None = None,
     missing_as_category: bool = False,
     ignore_columns=(),
+    schemas: tuple[AttributeSchema, ...] | None = None,
 ) -> FeatureTable:
     """Load attribute columns only, skipping any column named in ``ignore_columns``.
 
     Same parsing rules as :func:`load_csv`, but no label is required, so this
     is the ingestion path for prediction on unlabeled data. Cells of ignored
     columns count toward the row width but may be empty.
+
+    With ``schemas``, the attributes a saved model reads, only their columns
+    are read, in schema order, and each must be in the header and not
+    ignored. Each cell is coded against its schema's categories, and a value
+    the model never saw gets a code after them, so it matches no literal of
+    the model. A column may then hold a single value, and the other columns
+    only count toward the row width: their cells may be empty, and a
+    ``numeric_bins`` column among them is never parsed. Empty ``schemas``
+    give a table with no columns and one row per data row.
     """
     numeric_bins = dict(numeric_bins or {})
-    ignore = set(ignore_columns)
     with _open_csv(path) as fh:
         header, rows = _read_header(fh, path)
         for col in numeric_bins:
@@ -313,11 +334,11 @@ def load_feature_csv(
                 raise DatasetError(f"numeric column {col!r} not found in header")
         if rows is None:
             raise DatasetError(f"{path}: no data rows")
-        positions = [j for j, name in enumerate(header) if name not in ignore]
-        if not positions:
+        attributes = _attribute_columns(header, numeric_bins, schemas, set(ignore_columns))
+        if not attributes and schemas is None:
             raise DatasetError(f"{path}: no attribute columns")
-        columns = _read_columns(fh, path, header, rows, positions, missing_as_category)
-        schemas, X = _encode_columns(path, header, columns, numeric_bins, partial(_line_of, fh))
+        n = _read_chunked(fh, path, header, rows, attributes, missing_as_category)
+        schemas, X = _fill(path, attributes.values(), n, partial(_line_of, fh))
     return FeatureTable(schemas=schemas, X=X)
 
 
@@ -374,38 +395,132 @@ def _read_header(fh, path):
     return header, None if first is None else chain([first], rows)
 
 
-def _read_columns(fh, path, header, rows, positions, missing_as_category) -> dict[int, list[str]]:
-    """Stripped cells of the columns at ``positions``, keyed by position.
+def _attribute_columns(header, numeric_bins, schemas, ignore) -> dict[int, _Column]:
+    """The attribute columns to read, keyed by header position, in table order.
 
-    Every row must have one cell per header name, and no kept cell may be
-    empty unless ``missing_as_category`` is set. Both checks run on whole
-    columns, and the row lists are dropped on return. Only when a check
-    fails is ``fh`` read again, row by row, for the first bad row, so the
-    error names the row that a row-by-row check would.
+    Without ``schemas`` they are the columns not in ``ignore``, in file
+    order, with categories in first-occurrence order. With ``schemas`` there
+    is one per schema, in schema order, coded against its categories.
     """
-    rows = list(rows)
-    if set(map(len, rows)) != {len(header)}:
-        _raise_first_bad_row(fh, path, header, positions, missing_as_category)
-    keep = set(positions)
-    columns = {pos: list(map(str.strip, col)) for pos, col in enumerate(zip(*rows)) if pos in keep}
-    if not missing_as_category and not all(map(all, columns.values())):
-        _raise_first_bad_row(fh, path, header, positions, missing_as_category)
-    return columns
+    if schemas is None:
+        return {
+            pos: _Column(name, numeric_bins.get(name))
+            for pos, name in enumerate(header) if name not in ignore
+        }
+    index = {name: pos for pos, name in enumerate(header) if name not in ignore}
+    for schema in schemas:
+        if schema.name not in index:
+            raise DatasetError(f"model references unknown attribute {schema.name!r}")
+    return {
+        index[s.name]: _Column(s.name, numeric_bins.get(s.name), s.categories) for s in schemas
+    }
 
 
-def _raise_first_bad_row(fh, path, header, positions, missing_as_category):
-    """Raise for the first row, in file order, that :func:`_read_columns` refuses."""
+class _Column:
+    """One column as it is read: chunks of its codes, or of its reals if it is binned.
+
+    ``lookup`` maps each category to its code, in code order. It starts
+    empty, so that categories take first-occurrence order, or with a saved
+    model's categories, after which values the model never saw are appended.
+    """
+
+    def __init__(self, name: str, bins: int | None = None, categories=()):
+        self.name = name
+        self.bins = bins
+        self.lookup = {category: code for code, category in enumerate(categories)}
+        self.chunks: list[np.ndarray] = []
+        self.bad = None  # (row index, cell) of the first cell that is not a real
+
+    def add(self, cells: list[str], start: int) -> None:
+        """Take the next chunk of stripped cells, the first of which is row ``start``."""
+        if self.bins is None:
+            lookup = self.lookup
+            for cell in dict.fromkeys(cells):
+                lookup.setdefault(cell, len(lookup))
+            self.chunks.append(np.fromiter(map(lookup.__getitem__, cells), np.int32, len(cells)))
+        elif self.bad is None:
+            try:
+                self.chunks.append(np.fromiter(map(float, cells), np.float64, len(cells)))
+            except ValueError:
+                i, cell = _first_non_real(cells)
+                self.bad = start + i, cell
+
+    def finish(self, path, line_of) -> AttributeSchema:
+        """The schema, once every row is read; ``chunks`` then hold the codes.
+
+        A binned column is quantized as by :func:`quantize_numeric`, each bin
+        labelled by its interval, and its occupied bins are coded in
+        first-occurrence order. ``line_of`` maps a row index to its file line,
+        to report a cell that is not a real.
+        """
+        if self.bins is None:
+            kind = KIND_CATEGORICAL
+            if len(self.lookup) < 2:
+                raise DatasetError(f"attribute {self.name!r} has a single observed value")
+        else:
+            kind = KIND_QUANTIZED
+            if self.bad is not None:
+                row, cell = self.bad
+                raise _not_real(path, self.name, line_of(row), cell)
+            bin_codes, edges = _quantize(np.concatenate(self.chunks), self.bins)
+            labels = _bin_labels(edges)
+            occupied, first = np.unique(bin_codes, return_index=True)
+            code_of = np.zeros(self.bins, dtype=np.int64)
+            for b in occupied[np.argsort(first)].tolist():
+                code_of[b] = self.lookup.setdefault(labels[b], len(self.lookup))
+            if len(self.lookup) < 2:
+                raise DatasetError(f"quantizing column {self.name!r} produced a single occupied bin")
+            self.chunks = [code_of[bin_codes]]
+        return AttributeSchema(name=self.name, categories=tuple(self.lookup), kind=kind)
+
+
+def _read_chunked(fh, path, header, rows, columns: dict[int, _Column], missing_as_category) -> int:
+    """Read ``rows`` into ``columns``, keyed by header position; return the row count.
+
+    Rows are taken :data:`CHUNK_ROWS` at a time. Every row must have one cell
+    per header name, and no kept cell may be empty unless
+    ``missing_as_category`` is set; both checks run on each chunk, and only
+    kept cells are stripped. Only when a check fails is ``fh`` read again,
+    row by row, for the first bad row, so the error names the row that a
+    row-by-row check would.
+    """
+    width = len(header)
+    n = 0
+    while block := list(islice(rows, CHUNK_ROWS)):
+        if set(map(len, block)) != {width}:
+            _raise_first_bad_row(fh, path, header, columns, missing_as_category, rows)
+        transposed = list(zip(*block))
+        for pos, column in columns.items():
+            cells = list(map(str.strip, transposed[pos]))
+            if not (missing_as_category or all(cells)):
+                _raise_first_bad_row(fh, path, header, columns, missing_as_category, rows)
+            column.add(cells, n)
+        n += len(block)
+    return n
+
+
+def _raise_first_bad_row(fh, path, header, kept, missing_as_category, rest):
+    """Raise for the first row, in file order, that :func:`_read_chunked` refuses.
+
+    ``kept`` holds the header positions whose cells may not be empty.
+
+    The rows not yet read, ``rest``, are read first, so that a row the
+    :mod:`csv` module refuses later in the file is reported instead, as it
+    would be if the whole file were read before any check.
+    """
+    for _ in rest:
+        pass
     width = len(header)
     for line, row in _numbered_rows(fh):
         if len(row) != width:
             raise DatasetError(f"{path}: row {line} has {len(row)} cells, expected {width}")
-        for pos in positions:
+        for pos in sorted(kept):
             if not missing_as_category and row[pos].strip() == "":
                 raise DatasetError(
                     f"{path}: row {line} has an empty cell in column {header[pos]!r}; "
                     "rerun with missing-as-category to keep such rows"
                 )
-    raise AssertionError("a failed column check found no bad row")
+    raise AssertionError("a failed chunk check found no bad row")
 
 
 def _numbered_rows(fh):
@@ -425,28 +540,34 @@ def _line_of(fh, i: int) -> int:
     return next(islice(_numbered_rows(fh), i, None))[0]
 
 
-def _encode_columns(path, header, columns: dict[int, list[str]], numeric_bins, line_of):
-    """Encode ``columns`` in position order, freeing each column's cells as it goes.
+def _fill(path, columns, n: int, line_of) -> tuple[tuple[AttributeSchema, ...], np.ndarray]:
+    """The schemas and ``n``-row code matrix of ``columns``, one column at a time.
 
+    Each column's chunks are dropped once they are copied into the matrix.
     ``line_of`` maps a row index to its file line, for error messages.
     """
-    schemas: list[AttributeSchema] = []
-    codes: list[np.ndarray] = []
-    for pos in sorted(columns):
-        name = header[pos]
-        schema, column_codes = encode_column(
-            name, columns.pop(pos), numeric_bins.get(name), path, line_of
-        )
-        schemas.append(schema)
-        codes.append(column_codes)
-    return tuple(schemas), np.column_stack(codes)
+    columns = list(columns)
+    X = np.empty((n, len(columns)), dtype=np.int64)
+    schemas = []
+    for j, column in enumerate(columns):
+        schemas.append(column.finish(path, line_of))
+        np.concatenate(column.chunks, out=X[:, j])
+        column.chunks = []
+    return tuple(schemas), X
 
 
-def _first_occurrence_codes(raw) -> tuple[tuple, np.ndarray]:
-    """Distinct values of ``raw`` in first-occurrence order, and each cell's index."""
-    lookup = {v: i for i, v in enumerate(dict.fromkeys(raw))}
-    codes = np.fromiter(map(lookup.__getitem__, raw), np.int64, count=len(raw))
-    return tuple(lookup), codes
+def _first_non_real(cells) -> tuple[int, str]:
+    """The index and text of the first cell that ``float`` refuses."""
+    for i, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return i, cell
+    raise AssertionError("every cell parsed as a real")
+
+
+def _not_real(path, name: str, line: int, cell: str) -> DatasetError:
+    return DatasetError(f"{path}: column {name!r} declared numeric but row {line} holds {cell!r}")
 
 
 def _parse_numeric(name: str, raw, path=None, line_of=None) -> np.ndarray:
@@ -458,42 +579,8 @@ def _parse_numeric(name: str, raw, path=None, line_of=None) -> np.ndarray:
     try:
         return np.fromiter(map(float, raw), np.float64, count=len(raw))
     except ValueError:
-        for i, cell in enumerate(raw):
-            try:
-                float(cell)
-            except ValueError:
-                line = i + 1 if line_of is None else line_of(i)
-                raise DatasetError(
-                    f"{path}: column {name!r} declared numeric but row {line} holds {cell!r}"
-                ) from None
-        raise
-
-
-def encode_column(name: str, raw, bins: int | None = None, path=None, line_of=None):
-    """One column of cell strings as an attribute schema plus category codes.
-
-    Without ``bins`` each distinct cell is a category. With ``bins`` the
-    cells are parsed as reals and binned as by :func:`quantize_numeric`, each
-    bin labelled by its interval. Either way the categories are the occupied
-    values in first-occurrence order. ``path`` and ``line_of``, which maps a
-    cell's index to its file line (default: its 1-based position in ``raw``),
-    only locate a bad cell in error messages.
-    """
-    if bins is None:
-        cats, codes = _first_occurrence_codes(raw)
-        if len(cats) < 2:
-            raise DatasetError(f"attribute {name!r} has a single observed value")
-        return AttributeSchema(name=name, categories=cats, kind=KIND_CATEGORICAL), codes
-    bin_codes, edges = _quantize(_parse_numeric(name, raw, path, line_of), bins)
-    occupied, first = np.unique(bin_codes, return_index=True)
-    order = occupied[np.argsort(first)]
-    if order.size < 2:
-        raise DatasetError(f"quantizing column {name!r} produced a single occupied bin")
-    rank = np.empty(bins, dtype=np.int64)
-    rank[order] = np.arange(order.size)
-    labels = _bin_labels(edges)
-    cats = tuple(labels[b] for b in order)
-    return AttributeSchema(name=name, categories=cats, kind=KIND_QUANTIZED), rank[bin_codes]
+        i, cell = _first_non_real(raw)
+        raise _not_real(path, name, i + 1 if line_of is None else line_of(i), cell) from None
 
 
 def stratified_kfold(dataset: CategoricalDataset, k: int, seed: int):

@@ -19,7 +19,8 @@ from .dataset import (
     AttributeSchema,
     CategoricalDataset,
     DatasetError,
-    _encode_columns,
+    _Column,
+    _fill,
     _parse_numeric,
 )
 
@@ -95,11 +96,11 @@ def load_heart_csv(path, bins: int = 3) -> CategoricalDataset:
             )
     if not table:
         raise DatasetError(f"{path}: no data rows")
-    *columns, diagnosis = (list(map(str.strip, col)) for col in zip(*table))
-    numeric_bins = {name: bins for name in _HEART_CONTINUOUS}
-    schemas, X = _encode_columns(
-        path, HEART_COLUMNS, dict(enumerate(columns)), numeric_bins, lines.__getitem__
-    )
+    *cells, diagnosis = (list(map(str.strip, col)) for col in zip(*table))
+    columns = [_Column(name, bins if name in _HEART_CONTINUOUS else None) for name in HEART_COLUMNS]
+    for column, column_cells in zip(columns, cells):
+        column.add(column_cells, 0)
+    schemas, X = _fill(path, columns, len(table), lines.__getitem__)
     grade = _parse_numeric("disease", diagnosis, path, lines.__getitem__)
     y = (grade != 0.0).astype(np.int64)
     if np.unique(y).size < 2:

@@ -1,8 +1,8 @@
 """Helpers that only the tests use: literals in flat order, literal masks and
 text, a never-seen category, CSV writing, a rule's support and score, the
 textbook Apriori miner, the full-rank scores from the dense Burt matrix, a
-whole sampler chain, and the sampler's log-posterior of a rule list, exact
-and term by term."""
+whole sampler chain, the sampler's log-posterior of a rule list, exact
+and term by term, and the row-by-row predictions of a saved model."""
 
 import csv
 import math
@@ -13,8 +13,9 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from mcarules.apriori import AprioriConfig
+from mcarules.artifacts import csv_text, read_model
 from mcarules.brl import Evaluator, RuleList, _advance, _fresh_chain
-from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
+from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal, load_feature_csv
 from mcarules.mca import NORM_TOL, build_indicator
 from mcarules.miner import Rule, ScoredRule, rank, rule_mask, union_of
 
@@ -260,3 +261,21 @@ def reference_log_posterior(dataset, mined_rules, config, indices) -> float:
     per_clause = gammaln(smoothed).sum(axis=1) - gammaln(smoothed.sum(axis=1))
     log_beta = np.sum(gammaln(alpha)) - gammaln(alpha.sum())
     return float(total + per_clause.sum() - len(counts) * log_beta)
+
+
+def rowwise_predictions(model_path, csv_path, numeric_bins=None, missing_as_category=False,
+                        label=None) -> str:
+    """The text of ``mcarules predict``, computed as before it read only the model's columns.
+
+    The predict oracle: every column but the label is loaded and coded by
+    first occurrence, the model's literals are bound to that table by name,
+    and each row is rendered on its own, its probabilities as floats.
+    """
+    artifact = read_model(model_path)
+    ignore = {artifact.label_name} | ({label} if label else set())
+    table = load_feature_csv(csv_path, numeric_bins, missing_as_category,
+                             ignore_columns=tuple(sorted(ignore)))
+    probs = artifact.predict_proba(table)
+    names = artifact.label_names
+    rows = [[names[k], *row] for k, row in zip(np.argmax(probs, axis=1).tolist(), probs.tolist())]
+    return csv_text(["prediction"] + [f"p_{name}" for name in names], rows)

@@ -5,21 +5,25 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import write_dataset_csv
-from mcarules.artifacts import csv_text, read_model
-from mcarules import benchmark, cli
+from helpers import rowwise_predictions, write_dataset_csv
+from mcarules.artifacts import csv_text, read_model, write_model
+from mcarules import artifacts, benchmark, cli, dataset
 from mcarules.benchmark import synthetic_dataset
-from mcarules.brl import BrlConfig
+from mcarules.brl import BrlConfig, RuleList, TrainDiagnostics
 from mcarules.cli import main
-from mcarules.dataset import load_feature_csv
+from mcarules.dataset import DatasetError, Literal, load_csv
 from mcarules.datasets import titanic_dataset
-from mcarules.miner import MinerConfig
+from mcarules.miner import MinerConfig, Rule
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -601,16 +605,7 @@ class TestPredict:
         held_out.write_text("color,size\nred,big\nblue,small\nred,small\nblue,big\n")
         out = tmp_path / "predictions.csv"
         assert main(["predict", workspace["model"], str(held_out), "--out", str(out)]) == 0
-        artifact = read_model(workspace["model"])
-        probs = artifact.predict_proba(load_feature_csv(held_out))
-        expected = csv_text(
-            ["prediction"] + [f"p_{name}" for name in artifact.label_names],
-            [
-                [artifact.label_names[k]] + [float(p) for p in row]
-                for k, row in zip(np.argmax(probs, axis=1), probs)
-            ],
-        )
-        assert out.read_bytes() == expected.encode()
+        assert out.read_bytes() == rowwise_predictions(workspace["model"], held_out).encode()
 
     def test_ignored_label_column_may_have_empty_cells(self, workspace, tmp_path, capsys):
         unlabelled = tmp_path / "unlabelled.csv"
@@ -655,6 +650,249 @@ class TestPredict:
         bad = tmp_path / "model.json"
         bad.write_text("{not json")
         assert main(["predict", str(bad), workspace["toy"]]) == 2
+
+
+@pytest.fixture(scope="module")
+def survival_model(titanic_csv, tmp_path_factory):
+    """A model trained on the survival table, the table's rows, and its predictions for them."""
+    root = tmp_path_factory.mktemp("survival")
+    rules, model = str(root / "rules.json"), str(root / "model.json")
+    assert main([
+        "mine", titanic_csv, "--label", "survived", "--s-min", "0.05", "--mu-min", "0.1",
+        "--out", rules,
+    ]) == 0
+    assert main([
+        "train", titanic_csv, "--label", "survived", "--rules", rules, "--chains", "2",
+        "--max-iters", "1000", "--check-interval", "1000", "--seed", "0", "--threads", "1",
+        "--out", model,
+    ]) in (0, 3)
+    out = root / "all.csv"
+    assert main(["predict", model, titanic_csv, "--out", str(out)]) == 0
+    with open(titanic_csv, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {
+        "model": model, "header": header, "rows": rows,
+        "predictions": out.read_text().splitlines(keepends=True),
+    }
+
+
+class TestPredictReadsOnlyTheModelsColumns:
+    """Rows give the bytes they get inside the full file, whatever the other rows and columns hold."""
+
+    def run(self, survival_model, tmp_path, header, rows, *flags, command="predict"):
+        path = tmp_path / "part.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        out = tmp_path / "out.csv"
+        argv = [command, survival_model["model"], str(path), *flags]
+        if command == "predict":
+            argv += ["--out", str(out)]
+        code = main(argv)
+        return code, out.read_text().splitlines(keepends=True) if out.exists() else None
+
+    @pytest.mark.parametrize("row", [0, 1000, 2200])
+    def test_one_row_file(self, survival_model, tmp_path, row):
+        code, lines = self.run(
+            survival_model, tmp_path, survival_model["header"], [survival_model["rows"][row]]
+        )
+        assert code == 0
+        assert lines == [survival_model["predictions"][0], survival_model["predictions"][row + 1]]
+
+    def test_rows_of_one_travel_class(self, survival_model, tmp_path):
+        rows = survival_model["rows"][:49]
+        assert {row[0] for row in rows} == {"1st"}
+        code, lines = self.run(survival_model, tmp_path, survival_model["header"], rows)
+        assert code == 0
+        assert lines == survival_model["predictions"][:50]
+
+    def test_blank_cell_in_a_column_no_rule_reads(self, survival_model, tmp_path):
+        header = ["note"] + survival_model["header"]
+        rows = [["" if i % 3 else "seen"] + row for i, row in enumerate(survival_model["rows"])]
+        code, lines = self.run(survival_model, tmp_path, header, rows)
+        assert code == 0
+        assert lines == survival_model["predictions"]
+
+    def test_non_numeric_cells_in_a_bins_column_no_rule_reads(self, survival_model, tmp_path):
+        header = survival_model["header"] + ["weight"]
+        rows = [row + ["n/a" if i % 2 else str(i)] for i, row in enumerate(survival_model["rows"])]
+        code, lines = self.run(survival_model, tmp_path, header, rows, "--bins", "weight:2")
+        assert code == 0
+        assert lines == survival_model["predictions"]
+
+    def evaluated(self, survival_model, tmp_path, rows, capsys):
+        capsys.readouterr()
+        code, _ = self.run(
+            survival_model, tmp_path, survival_model["header"], rows, command="evaluate"
+        )
+        assert code == 0
+        metrics = dict(line.split() for line in capsys.readouterr().out.split("\n\n")[0].splitlines())
+        by_row = {tuple(row): line.split(",")[0] for row, line in
+                  zip(survival_model["rows"], survival_model["predictions"][1:])}
+        hits = sum(by_row[tuple(row)] == row[-1] for row in rows)
+        assert metrics["n"] == str(len(rows))
+        assert metrics["accuracy"] == f"{hits / len(rows):.4f}"
+        return metrics
+
+    def test_evaluate_one_class_holdout(self, survival_model, tmp_path, capsys):
+        died = [row for row in survival_model["rows"] if row[-1] == "died"]
+        assert "roc_auc" not in self.evaluated(survival_model, tmp_path, died, capsys)
+
+    def test_evaluate_holdout_of_one_travel_class(self, survival_model, tmp_path, capsys):
+        rows = survival_model["rows"][:49]
+        assert {row[-1] for row in rows} == {"died", "survived"}
+        assert "roc_auc" in self.evaluated(survival_model, tmp_path, rows, capsys)
+
+    def test_errors_keep_their_messages(self, survival_model, tmp_path, capsys):
+        payload = json.loads(Path(survival_model["model"]).read_text())
+        name = min(lit["attribute"] for rule in payload["rules"] for lit in rule)
+        pos = survival_model["header"].index(name)
+        header, rows = survival_model["header"], survival_model["rows"][::97]
+        capsys.readouterr()
+        dropped = [[c for j, c in enumerate(row) if j != pos] for row in [header, *rows]]
+        assert self.run(survival_model, tmp_path, dropped[0], dropped[1:])[0] == 2
+        assert f"error: model references unknown attribute {name!r}" in capsys.readouterr().err
+        blank = [row[:pos] + [" "] + row[pos + 1:] if i == 3 else row for i, row in enumerate(rows)]
+        assert self.run(survival_model, tmp_path, header, blank)[0] == 2
+        assert f"row 5 has an empty cell in column {name!r}" in capsys.readouterr().err
+        assert self.run(survival_model, tmp_path, header, rows, "--bins", "weight:2")[0] == 2
+        assert "numeric column 'weight' not found in header" in capsys.readouterr().err
+
+    def test_evaluate_unknown_label_keeps_its_message(self, survival_model, tmp_path, capsys):
+        rows = [row[:-1] + [["died", "lost", "saved"][i % 3]]
+                for i, row in enumerate(survival_model["rows"][::97])]
+        capsys.readouterr()
+        code, _ = self.run(survival_model, tmp_path, survival_model["header"], rows,
+                           command="evaluate")
+        assert code == 2
+        assert (f"label 'lost' in {tmp_path / 'part.csv'} is unknown to the model "
+                "(knows ['survived', 'died'])") in capsys.readouterr().err
+
+
+class TestZeroRuleModel:
+    """A list with no rules, where every chain starts, predicts its default clause everywhere."""
+
+    @pytest.fixture
+    def model(self, workspace, tmp_path):
+        payload = json.loads(Path(workspace["model"]).read_text())
+        payload["rules"], payload["capture_counts"] = [], [[3, 5]]
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_every_row_gets_the_default_clause(self, model, workspace, tmp_path):
+        probs = read_model(model).rule_list.clause_probabilities()[0].tolist()
+        default = ["no" if probs[1] > probs[0] else "yes", *probs]
+        out = tmp_path / "predictions.csv"
+        toy = Path(workspace["toy"]).read_text()
+        for text, n in [("color,size,label\nred,big,yes\n", 1), (toy, 40)]:
+            data = tmp_path / "data.csv"
+            data.write_text(text)
+            assert main(["predict", model, str(data), "--out", str(out)]) == 0
+            assert out.read_text() == csv_text(["prediction", "p_yes", "p_no"], [default] * n)
+
+    @pytest.mark.parametrize("text, message", [
+        ("color,size,label\n", "no data rows"),
+        ("color,size,label\nred,big,yes\nblue,small\n", "row 3 has 2 cells, expected 3"),
+    ], ids=["header-only", "ragged"])
+    def test_bad_files_are_data_errors(self, model, tmp_path, capsys, text, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        assert main(["predict", model, str(data)]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_predict_calls_each_function_the_benchmark_traces_once(workspace, tmp_path, monkeypatch):
+    """``perfbench --trace 1`` wraps these by name, in place and wherever imported, and takes
+    medians of their spans, so ``predict`` must call each of them."""
+    calls = Counter()
+    modules = [m for n, m in sys.modules.items() if n == "mcarules" or n.startswith("mcarules.")]
+    for owner, name in [(dataset, "load_feature_csv"), (artifacts.ModelArtifact, "predict_proba"),
+                        (artifacts, "write_csv")]:
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for holder in [owner] + [m for m in modules if getattr(m, name, None) is original]:
+            monkeypatch.setattr(holder, name, counted)
+    out = tmp_path / "predictions.csv"
+    assert main(["predict", workspace["model"], workspace["toy"], "--out", str(out)]) == 0
+    assert calls == {"load_feature_csv": 1, "predict_proba": 1, "write_csv": 1}
+
+
+CATEGORIES = ["a", "b", "c"]
+NEW_CELLS = ["zz", " b ", "c,d", 'q"t', "é", ""]
+
+
+@st.composite
+def predict_cases(draw):
+    """A training table, rules drawn from its literals, and a file to predict on."""
+    n_attributes = draw(st.integers(1, 3))
+    names = [f"x{j}" for j in range(n_attributes)]
+    numeric = draw(st.booleans())
+    missing = draw(st.booleans())
+    cells = st.sampled_from(CATEGORIES + [""] * missing)
+    n_train = draw(st.integers(6, 12))
+    train = [[draw(cells) for _ in names] + ([str(draw(st.integers(0, 9)))] if numeric else [])
+             + [draw(st.sampled_from(["yes", "no"]))] for _ in range(n_train)]
+    columns = names + ["num"] * numeric
+    extra = draw(st.lists(st.sampled_from(["note", "y", "weight"]), unique=True, max_size=2))
+    header = draw(st.permutations(columns + extra))
+    if draw(st.integers(0, 9)) == 0:
+        header = header[1:]  # maybe a column the rules read is missing
+    new_cells = {
+        "num": st.one_of(st.integers(0, 9).map(str), st.sampled_from(["oops", ""])),
+        "note": st.sampled_from(["", "n", "m"]),
+        "y": st.sampled_from(["yes", "no", ""]),
+        "weight": st.sampled_from(["1", "2", "3", "n/a"]),
+    }
+    new_rows = [[draw(new_cells.get(name, st.sampled_from(CATEGORIES + NEW_CELLS)))
+                 for name in header] for _ in range(draw(st.integers(1, 10)))]
+    flags = (["--bins", "num:2"] * numeric + ["--bins", "weight:2"] * ("weight" in header)
+             + ["--missing-as-category"] * missing)
+    return train, columns, header, new_rows, flags, draw(st.randoms())
+
+
+class TestPredictMatchesRowwise:
+    """``predict`` gives the oracle's bytes on every file the oracle accepts."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(case=predict_cases())
+    def test_same_bytes(self, tmp_path_factory, chunk_rows, case):
+        train, columns, header, new_rows, flags, rnd = case
+        root = tmp_path_factory.mktemp("case")
+        train_csv, data, out, model = (root / n for n in
+                                       ("train.csv", "data.csv", "out.csv", "model.json"))
+        with open(train_csv, "w", newline="") as fh:
+            csv.writer(fh).writerows([columns + ["y"], *train])
+        bins = {"num": 2} if "num" in columns else {}
+        missing = "--missing-as-category" in flags
+        try:
+            ds = load_csv(train_csv, "y", bins, missing)
+        except DatasetError:
+            assume(False)
+        rules = tuple({
+            Rule.of([Literal(j, rnd.randrange(ds.schemas[j].n_categories))
+                     for j in rnd.sample(range(ds.p), rnd.randint(1, min(2, ds.p)))])
+            for _ in range(rnd.randint(0, 3))
+        })
+        counts = [[rnd.randint(0, 5), rnd.randint(0, 5)] for _ in range(len(rules) + 1)]
+        write_model(model, RuleList(rules, counts, [1.0, 0.5]),
+                    TrainDiagnostics(True, (), 0, 0.0, 1, 0, 0, 0.0), ds, BrlConfig())
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows([header, *new_rows])
+        try:
+            bins.update({"weight": 2} if "weight" in header else {})
+            expected = rowwise_predictions(model, data, bins, missing)
+        except ValueError:
+            expected = None
+        with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows):
+            code = main(["predict", str(model), str(data), "--out", str(out), *flags])
+        if expected is not None:
+            assert code == 0
+            assert out.read_bytes() == expected.encode()
 
 
 class TestUnreadableCsv:

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import describe_literal, literal_mask, write_dataset_csv
+from mcarules import dataset
 from mcarules.dataset import (
+    CHUNK_ROWS,
     KIND_CATEGORICAL,
     KIND_QUANTIZED,
     AttributeSchema,
@@ -428,9 +431,8 @@ class TestMatchesRowwiseLoader:
     def path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("rowwise") / "table.csv"
 
-    @settings(max_examples=300, deadline=None)
-    @given(csv_files())
-    def test_same_dataset_or_error_text(self, path, drawn):
+    @staticmethod
+    def check(path, drawn):
         text, label, bins, missing = drawn
         path.write_text(text, encoding="utf-8", newline="")
         expected = load_outcome(reference_load_csv, path, label, bins, missing)
@@ -438,6 +440,66 @@ class TestMatchesRowwiseLoader:
         if isinstance(expected, tuple):
             features = load_feature_csv(path, bins, missing, ignore_columns=(label,))
             assert (features.schemas, features.X.tolist()) == expected[:2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_files())
+    def test_same_dataset_or_error_text(self, path, drawn):
+        self.check(path, drawn)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=csv_files())
+    def test_same_when_chunks_split_the_file(self, path, chunk_rows, drawn):
+        with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows):
+            self.check(path, drawn)
+
+
+class TestChunkBoundaries:
+    """A bad row in a later chunk is reported by the file line a row-by-row check names."""
+
+    def write(self, tmp_path, spoil):
+        # Blank lines and a quoted newline put row i off file line i + 2.
+        rows = [["p" if i % 2 else "q", str(i), "yes" if i % 3 else "no"] for i in range(20)]
+        rows[1][0] = "two\nlines"
+        spoil(rows[15])
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["a", "x", "label"])
+        for i, row in enumerate(rows):
+            writer.writerow(row)
+            if i % 4 == 3:
+                buffer.write("\n")
+        path = tmp_path / "late.csv"
+        path.write_text(buffer.getvalue())
+        return path
+
+    SPOILERS = {
+        "width": lambda row: row.append("extra"),
+        "empty cell": lambda row: row.__setitem__(0, "  "),
+        "not a real": lambda row: row.__setitem__(1, "oops"),
+    }
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7])
+    @pytest.mark.parametrize("fault", SPOILERS)
+    def test_same_error_text(self, tmp_path, chunk_rows, fault):
+        path = self.write(tmp_path, self.SPOILERS[fault])
+        expected = load_outcome(reference_load_csv, path, "label", {"x": 2})
+        assert isinstance(expected, str) and "row 21" in expected
+        with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows):
+            assert load_outcome(load_csv, path, "label", {"x": 2}) == expected
+            with pytest.raises(DatasetError) as caught:
+                load_feature_csv(path, {"x": 2}, ignore_columns=("label",))
+            assert str(caught.value) == expected
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    def test_csv_error_later_in_the_file_comes_first(self, tmp_path, chunk_rows):
+        # The whole file was once read before any check, so a row the csv
+        # module refuses wins over a short row before it.
+        path = tmp_path / "both.csv"
+        path.write_text("a,label\np,yes\nq\nr,no\ns," + "x" * 140_000 + "\n")
+        with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows):
+            with pytest.raises(DatasetError, match="line 5: field larger than field limit"):
+                load_csv(path, "label")
 
 
 class TestRoundTrip:
@@ -599,6 +661,73 @@ class TestFeatureTable:
         path = self.write(tmp_path, "y\n1\n0\n")
         with pytest.raises(DatasetError, match="no attribute columns"):
             load_feature_csv(path, ignore_columns=("y",))
+
+    def test_model_schemas_code_against_the_models_categories(self, tmp_path):
+        path = self.write(tmp_path, "size,color,note\ns,blue,\nm,red,1\nl,green,\ns,blue,\n")
+        schema = AttributeSchema(name="color", categories=("red", "blue"))
+        table = load_feature_csv(path, schemas=(schema,))
+        assert table.schemas == (AttributeSchema(name="color", categories=("red", "blue", "green")),)
+        assert table.X[:, 0].tolist() == [1, 0, 2, 1]
+
+    def test_model_schemas_allow_a_single_value(self, tmp_path):
+        path = self.write(tmp_path, "color,size\nred,s\nred,s\n")
+        schema = AttributeSchema(name="color", categories=("blue", "red"))
+        table = load_feature_csv(path, schemas=(schema,))
+        assert table.schemas == (schema,) and table.X.tolist() == [[1], [1]]
+        with pytest.raises(DatasetError, match="single observed value"):
+            load_feature_csv(path)
+
+    def test_model_schemas_read_in_schema_order(self, tmp_path):
+        path = self.write(tmp_path, "a,b,c\nx,y,z\nu,v,w\n")
+        schemas = tuple(AttributeSchema(name=n, categories=("x", "y")) for n in "ca")
+        table = load_feature_csv(path, schemas=schemas)
+        assert [s.name for s in table.schemas] == ["c", "a"]
+        assert table.X.tolist() == [[2, 0], [3, 2]]
+
+    def test_unread_bins_column_is_never_parsed(self, tmp_path):
+        path = self.write(tmp_path, "color,weight\nred,n/a\nblue,?\n")
+        schema = AttributeSchema(name="color", categories=("red", "blue"))
+        table = load_feature_csv(path, numeric_bins={"weight": 2}, schemas=(schema,))
+        assert table.X.tolist() == [[0], [1]]
+        with pytest.raises(DatasetError, match="declared numeric but row 2 holds 'n/a'"):
+            load_feature_csv(path, numeric_bins={"weight": 2})
+        with pytest.raises(DatasetError, match="numeric column 'mass' not found in header"):
+            load_feature_csv(path, numeric_bins={"mass": 2}, schemas=(schema,))
+
+    def test_read_bins_column_uses_the_files_own_quantiles(self, tmp_path):
+        train = self.write(tmp_path, "w,y\n1,a\n2,b\n3,a\n4,b\n5,a\n6,b\n", "train.csv")
+        schema = load_csv(train, "y", numeric_bins={"w": 2}).schemas[0]
+        path = self.write(tmp_path, "w\n6\n5\n4\n3\n2\n1\n")
+        table = load_feature_csv(path, numeric_bins={"w": 2}, schemas=(schema,))
+        assert table.schemas == (schema,)
+        assert table.X[:, 0].tolist() == [1, 1, 1, 0, 0, 0]
+
+    def test_no_model_schemas_give_one_empty_row_per_data_row(self, tmp_path):
+        path = self.write(tmp_path, "y\n1\n\n1\n0\n")
+        table = load_feature_csv(path, ignore_columns=("y",), schemas=())
+        assert (table.n, table.p) == (3, 0)
+        ragged = self.write(tmp_path, "a,b\n1,2\n3\n", "ragged.csv")
+        with pytest.raises(DatasetError, match="row 3 has 1 cells, expected 2"):
+            load_feature_csv(ragged, schemas=())
+        header_only = self.write(tmp_path, "a,b\n", "header.csv")
+        with pytest.raises(DatasetError, match="no data rows"):
+            load_feature_csv(header_only, schemas=())
+
+    def test_model_column_missing_or_ignored(self, tmp_path):
+        path = self.write(tmp_path, "color,size\nred,s\nblue,m\n")
+        schema = AttributeSchema(name="shape", categories=("round", "square"))
+        with pytest.raises(DatasetError, match="model references unknown attribute 'shape'"):
+            load_feature_csv(path, schemas=(schema,))
+        schema = AttributeSchema(name="size", categories=("s", "m"))
+        with pytest.raises(DatasetError, match="model references unknown attribute 'size'"):
+            load_feature_csv(path, ignore_columns=("size",), schemas=(schema,))
+
+    def test_model_labels_come_first(self, tmp_path):
+        path = self.write(tmp_path, "color,note,y\nred,,b\nred,1,c\n")
+        schema = AttributeSchema(name="color", categories=("blue", "red"))
+        ds = load_csv(path, "y", schemas=(schema,), label_names=("a", "b"))
+        assert ds.label_names == ("a", "b", "c") and ds.Y.tolist() == [1, 2]
+        assert ds.schemas == (schema,) and ds.X.tolist() == [[1], [1]]
 
     def test_codes_validated(self):
         with pytest.raises(DatasetError):
