@@ -17,7 +17,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ def atomic_write_text(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -64,7 +64,7 @@ def _dump_json(payload: dict) -> str:
 
 def _load_json(path, kind: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise ArtifactError(f"cannot read {kind} file {path}: {exc}") from None
@@ -133,13 +133,8 @@ def _bind_rule(records, schemas, index: dict, path) -> Rule:
         raise ArtifactError(f"{path}: bad rule: {exc}") from None
 
 
-def write_rules(
-    path,
-    result,
-    dataset: CategoricalDataset,
-    config,
-) -> None:
-    """Write a mining result; ``config`` is a MinerConfig or a plain record dict."""
+def write_rules(path, result, dataset: CategoricalDataset, config: dict) -> None:
+    """Write a mining result with ``config``, the record of the miner's settings."""
     payload = {
         "format": FORMAT_VERSION,
         "kind": "rules",
@@ -147,7 +142,7 @@ def write_rules(
         "label_name": dataset.label_name,
         "label_names": list(dataset.label_names),
         "attributes": _schema_records(dataset.schemas),
-        "miner_config": asdict(config) if is_dataclass(config) else dict(config),
+        "miner_config": config,
         "rules": [
             {
                 "literals": _literal_records(sr.rule, dataset),

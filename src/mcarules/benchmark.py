@@ -118,10 +118,10 @@ def synthetic_dataset(
     )
 
 
-def _time_mca(dataset, config: BenchmarkConfig, n_workers):
+def _time_mca(dataset, config: BenchmarkConfig):
     start = time.perf_counter()
     model = fit(build_indicator(dataset), components=config.components)
-    result = mine(dataset, model, config.miner, n_workers=n_workers)
+    result = mine(dataset, model, config.miner)
     elapsed = time.perf_counter() - start
     return elapsed, result.status, len(result)
 
@@ -137,11 +137,7 @@ def _time_apriori(dataset, config: BenchmarkConfig):
     return elapsed, result.status, len(result)
 
 
-def run_benchmark(
-    config: BenchmarkConfig,
-    n_workers: int | None = None,
-    progress=None,
-) -> list[BenchRow]:
+def run_benchmark(config: BenchmarkConfig, progress=None) -> list[BenchRow]:
     """Time both miners over the attribute grid; one row per miner and rep.
 
     One untimed pass of both miners on a small table runs first, so the
@@ -159,17 +155,14 @@ def run_benchmark(
             seed=seed,
         )
 
-    _time_mca(table(2, config.seed), config, n_workers)
+    _time_mca(table(2, config.seed), config)
     _time_apriori(table(2, config.seed), config)
     rows = []
     for n_attributes in config.attribute_grid:
         for rep in range(config.repetitions):
-            for miner_name, runner in (
-                ("mca", lambda ds: _time_mca(ds, config, n_workers)),
-                ("apriori", lambda ds: _time_apriori(ds, config)),
-            ):
+            for miner_name, runner in (("mca", _time_mca), ("apriori", _time_apriori)):
                 dataset = table(n_attributes, (config.seed, n_attributes, rep))
-                seconds, status, n_rules = runner(dataset)
+                seconds, status, n_rules = runner(dataset, config)
                 row = BenchRow(
                     attributes=n_attributes,
                     miner=miner_name,

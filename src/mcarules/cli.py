@@ -184,7 +184,6 @@ def build_parser():
     mine_p.add_argument(
         "--time-budget", type=float, help="wall-clock budget for the apriori baseline"
     )
-    mine_p.add_argument("--threads", type=int, help="worker count (default: cores)")
     mine_p.add_argument("--out", help="output rules file (default rules.json)")
     mine_p.add_argument("--config", help="key=value config file; flags win")
 
@@ -213,7 +212,7 @@ def build_parser():
         help="cap on rule-list length, at least 1 (default: no cap)",
     )
     train_p.add_argument("--seed", type=int, help="base RNG seed")
-    train_p.add_argument("--threads", type=int, help="worker count (default: cores)")
+    train_p.add_argument("--threads", type=int, help="chain processes (default: cores)")
     train_p.add_argument("--out", help="output model file (default model.json)")
     train_p.add_argument("--config", help="key=value config file; flags win")
 
@@ -260,7 +259,6 @@ def build_parser():
     )
     bench_p.add_argument("--time-budget", type=float, help="per-run budget, seconds")
     bench_p.add_argument("--seed", type=int, help="base RNG seed")
-    bench_p.add_argument("--threads", type=int, help="worker count (default: cores)")
     bench_p.add_argument("--out", help="output CSV (default bench.csv)")
     bench_p.add_argument("--config", help="key=value config file; flags win")
 
@@ -280,7 +278,7 @@ def _merge_config_file(args, options: dict) -> None:
     if getattr(args, "config", None) is None:
         return
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
@@ -360,7 +358,7 @@ def _fit_scores(dataset, args):
 # Flags that one mining algorithm reads and the other would silently ignore.
 _FOREIGN_MINE_FLAGS = {
     "mca": {"time_budget"},
-    "apriori": {"mu_min", "top", "unsigned", "components", "threads"},
+    "apriori": {"mu_min", "top", "unsigned", "components"},
 }
 
 
@@ -373,7 +371,7 @@ def cmd_mine(args) -> int:
     dataset = _load_labeled(args)
     if args.algo == "mca":
         model = _fit_scores(dataset, args)
-        result = mine(dataset, model, config, n_workers=args.threads)
+        result = mine(dataset, model, config)
         record = {"algo": "mca", "components": args.components, **asdict(config)}
     else:
         budget = _config(AprioriConfig, args)
@@ -406,7 +404,7 @@ def cmd_train(args) -> int:
     else:
         miner_config = _config(MinerConfig, args)
         model = _fit_scores(dataset, args)
-        mined = mine(dataset, model, miner_config, n_workers=args.threads)
+        mined = mine(dataset, model, miner_config)
     rules = tuple(sr.rule for sr in mined.rules)
     if not rules:
         raise DatasetError(
@@ -549,7 +547,7 @@ def cmd_benchmark(args) -> int:
             file=sys.stderr,
         )
 
-    rows = run_benchmark(config, n_workers=args.threads, progress=progress)
+    rows = run_benchmark(config, progress=progress)
     write_csv(args.out, BENCH_HEADER, bench_rows(rows))
     print(summarize(rows))
     print(f"wrote runtime table -> {args.out}")

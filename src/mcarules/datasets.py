@@ -84,7 +84,7 @@ _HEART_CONTINUOUS = frozenset(["age", "trestbps", "chol", "thalach", "oldpeak"])
 
 def load_heart_csv(path, bins: int = 3) -> CategoricalDataset:
     """Load a Cleveland-format heart-disease file into a dataset."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         numbered = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
     lines = [i for i, _ in numbered]
     table = [ln.split(",") for _, ln in numbered]

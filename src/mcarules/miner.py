@@ -11,8 +11,6 @@ prunes as mining progresses.
 from __future__ import annotations
 
 import heapq
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -163,15 +161,18 @@ def mine(
 ) -> MiningResult:
     """Mine the top-M rules per label, returning their deduplicated union.
 
-    Labels are mined independently, on up to ``n_workers`` threads (default:
-    one per core). Each frontier rule is extended by every free literal at
-    once: one array pass scores all children, supports are counted, as
-    popcounts of the dataset's ``literal_bits``, only for children at or
-    above the working score floor, and rule objects are built only for
-    children that pass both floors. A score is the mean of the literal
-    scores, added left to right in canonical literal order, and a support is
-    the rule's hits over its label's row count, so every rule comes out
-    bit-identical however it was reached and whatever the worker count.
+    Labels are mined one after another. Each frontier rule is extended by
+    every free literal at once: one array pass scores all children,
+    supports are counted, as popcounts of the dataset's ``literal_bits``,
+    only for children at or above the working score floor, and rule objects
+    are built only for children that pass both floors. A score is the mean
+    of the literal scores, added left to right in canonical literal order,
+    and a support is the rule's hits over its label's row count, so every
+    rule comes out bit-identical however it was reached.
+
+    ``n_workers`` has no effect. The per-label search is interpreter-bound,
+    so label threads would only contend for the interpreter lock; the
+    keyword is accepted only because the benchmark harness still passes it.
     """
     table = score_table(model, dataset)
     scores = table.scores if config.signed else np.abs(table.scores)
@@ -183,7 +184,7 @@ def mine(
 
     attribute_of = np.repeat(np.arange(dataset.p), np.diff(dataset.literal_offsets))
     class_counts = dataset.label_counts()
-    literal_bits = dataset.literal_bits  # built here, before any label thread reads it
+    literal_bits = dataset.literal_bits
 
     def mine_label(k: int) -> tuple[ScoredRule, ...]:
         if class_counts[k] == 0 or np.isnan(rho_bar[k]):
@@ -193,15 +194,7 @@ def mine(
             literal_bits[k], int(class_counts[k]),
         )
 
-    workers = n_workers or os.cpu_count() or 1
-    workers = max(1, min(workers, dataset.n_labels))
-    if workers == 1:
-        per_label = [mine_label(k) for k in range(dataset.n_labels)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_label = list(pool.map(mine_label, range(dataset.n_labels)))
-
-    return union_of(per_label)
+    return union_of([mine_label(k) for k in range(dataset.n_labels)])
 
 
 def _mine_one_label(

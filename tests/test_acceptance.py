@@ -73,7 +73,7 @@ def cross_validated_scores(dataset, components=1, folds=5, cv_seed=0):
         fold_train = subset(dataset, train_idx)
         fold_test = subset(dataset, test_idx)
         model = fit(build_indicator(fold_train), components=components)
-        mined = mine(fold_train, model, miner_config, n_workers=1)
+        mined = mine(fold_train, model, miner_config)
         rules = tuple(sr.rule for sr in mined.rules)
         rule_list, _ = train(fold_train, rules, brl_config, n_workers=1)
         probs = predict_proba_batch(rule_list, fold_test.X)
@@ -189,7 +189,7 @@ def test_criterion_2_miner_oracle_equivalence():
             M=int(rng.choice([3, 5, 70])),
         )
         model = fit(build_indicator(ds))
-        got = mine(ds, model, config, n_workers=1).rules
+        got = mine(ds, model, config).rules
         want = exhaustive_mine(ds, model, config)
         assert [(sr.rule, sr.label) for sr in got] == [
             (sr.rule, sr.label) for sr in want
@@ -322,7 +322,7 @@ def test_criterion_4_sampler_matches_enumerated_posterior():
 def test_criterion_5_convergence_stop():
     ds = titanic_dataset()
     model = fit(build_indicator(ds), components=1)
-    mined = mine(ds, model, MinerConfig(**MINER_PARAMS), n_workers=1)
+    mined = mine(ds, model, MinerConfig(**MINER_PARAMS))
     rules = tuple(sr.rule for sr in mined.rules)
     outcomes = []
     for seed in range(5):
@@ -360,7 +360,7 @@ def test_criterion_6_parallel_chain_speedup():
         pytest.skip(f"requires >= 4 physical cores, found {cores}")
     ds = titanic_dataset()
     model = fit(build_indicator(ds), components=1)
-    mined = mine(ds, model, MinerConfig(**MINER_PARAMS), n_workers=1)
+    mined = mine(ds, model, MinerConfig(**MINER_PARAMS))
     rules = tuple(sr.rule for sr in mined.rules)
     # A single full-length segment: both runs do identical sampling work.
     config = BrlConfig(
@@ -395,7 +395,7 @@ def test_criterion_7_scaling_benchmark_point():
     ds = table()
     start = time.perf_counter()
     model = fit(build_indicator(ds))
-    mined = mine(ds, model, MinerConfig(**MINER_PARAMS), n_workers=1)
+    mined = mine(ds, model, MinerConfig(**MINER_PARAMS))
     t_cosine = time.perf_counter() - start
     ds = table()
     start = time.perf_counter()
@@ -447,7 +447,7 @@ def run_pipeline(workdir: Path, csv_path: str) -> dict[str, bytes]:
     rendered = str(workdir / "rules.txt")
     assert main([
         "mine", csv_path, "--label", "survived", "--components", "1",
-        "--threads", "1", "--out", rules,
+        "--out", rules,
     ]) == 0
     assert main([
         "train", csv_path, "--label", "survived", "--rules", rules,

@@ -1,6 +1,7 @@
 """Tests for artifact serialization: rules, models, CSV tables."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestRulesRoundTrip:
         ds = small_dataset()
         result = small_mining_result()
         path = tmp_path / "rules.json"
-        write_rules(path, result, ds, MinerConfig())
+        write_rules(path, result, ds, asdict(MinerConfig()))
         loaded = read_rules(path, ds)
         assert loaded.rules == result.rules
         assert loaded.per_label == result.per_label
@@ -85,15 +86,15 @@ class TestRulesRoundTrip:
         ds = small_dataset()
         result = small_mining_result()
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_rules(a, result, ds, MinerConfig())
-        write_rules(b, result, ds, MinerConfig())
+        write_rules(a, result, ds, asdict(MinerConfig()))
+        write_rules(b, result, ds, asdict(MinerConfig()))
         assert a.read_bytes() == b.read_bytes()
 
     def test_binding_is_by_name(self, tmp_path):
         ds = small_dataset()
         result = small_mining_result()
         path = tmp_path / "rules.json"
-        write_rules(path, result, ds, MinerConfig())
+        write_rules(path, result, ds, asdict(MinerConfig()))
         # Same names, different column order and category codes.
         shuffled = CategoricalDataset(
             schemas=(
@@ -112,7 +113,7 @@ class TestRulesRoundTrip:
         ds = small_dataset()
         result = small_mining_result()
         path = tmp_path / "rules.json"
-        write_rules(path, result, ds, MinerConfig())
+        write_rules(path, result, ds, asdict(MinerConfig()))
         other = CategoricalDataset(
             schemas=(
                 AttributeSchema(name="color", categories=("green", "blue")),
@@ -128,7 +129,7 @@ class TestRulesRoundTrip:
     def test_label_mismatch_rejected(self, tmp_path):
         ds = small_dataset()
         path = tmp_path / "rules.json"
-        write_rules(path, small_mining_result(), ds, MinerConfig())
+        write_rules(path, small_mining_result(), ds, asdict(MinerConfig()))
         other = CategoricalDataset(
             schemas=ds.schemas,
             X=ds.X,
@@ -145,7 +146,7 @@ class TestRulesRoundTrip:
     def test_bad_record_value_names_the_file(self, tmp_path, field, value, message):
         ds = small_dataset()
         path = tmp_path / "rules.json"
-        write_rules(path, small_mining_result(), ds, MinerConfig())
+        write_rules(path, small_mining_result(), ds, asdict(MinerConfig()))
         payload = json.loads(path.read_text())
         payload["rules"][1][field] = value
         path.write_text(json.dumps(payload))
@@ -283,7 +284,7 @@ class TestModelRoundTrip:
     def test_wrong_kind_rejected(self, tmp_path):
         ds = small_dataset()
         path = tmp_path / "rules.json"
-        write_rules(path, small_mining_result(), ds, MinerConfig())
+        write_rules(path, small_mining_result(), ds, asdict(MinerConfig()))
         with pytest.raises(ArtifactError, match="not a model"):
             read_model(path)
 

@@ -85,7 +85,7 @@ class TestBenchmarkHarness:
             attribute_grid=(2, 4), n=80, repetitions=1, miner=MinerConfig(M=10),
             time_budget=30.0,
         )
-        rows = run_benchmark(config, n_workers=1)
+        rows = run_benchmark(config)
         assert len(rows) == 4
         miners = {(r.attributes, r.miner) for r in rows}
         assert miners == {(2, "mca"), (2, "apriori"), (4, "mca"), (4, "apriori")}
@@ -95,7 +95,7 @@ class TestBenchmarkHarness:
 
     def test_single_attribute_grid_fast(self):
         config = BenchmarkConfig(attribute_grid=(1,), n=80, miner=MinerConfig(M=5))
-        rows = run_benchmark(config, n_workers=1)
+        rows = run_benchmark(config)
         assert all(r.seconds < 1.0 for r in rows)
 
     def test_progress_callback_sees_every_row(self):
@@ -103,7 +103,7 @@ class TestBenchmarkHarness:
             attribute_grid=(2,), n=50, repetitions=2, miner=MinerConfig(M=5)
         )
         seen = []
-        rows = run_benchmark(config, n_workers=1, progress=seen.append)
+        rows = run_benchmark(config, progress=seen.append)
         assert seen == rows
 
     def test_warm_up_pass_emits_no_row(self, monkeypatch):
@@ -111,7 +111,7 @@ class TestBenchmarkHarness:
         config = BenchmarkConfig(
             attribute_grid=(3, 5), n=50, repetitions=2, miner=MinerConfig(M=5)
         )
-        rows = run_benchmark(config, n_workers=1)
+        rows = run_benchmark(config)
         assert [(r.attributes, r.repetition, r.miner) for r in rows] == [
             (p, rep, miner)
             for p in (3, 5)
@@ -129,7 +129,7 @@ class TestBenchmarkHarness:
         config = BenchmarkConfig(
             attribute_grid=(3,), n=50, repetitions=2, miner=MinerConfig(M=5)
         )
-        run_benchmark(config, n_workers=1)
+        run_benchmark(config)
         assert prebuilt == [("_time_mca", False), ("_time_apriori", False)] * 3
 
     def test_rows_flatten_for_csv(self):
@@ -142,6 +142,6 @@ class TestBenchmarkHarness:
 
     def test_summary_mentions_each_point(self):
         config = BenchmarkConfig(attribute_grid=(2,), n=50, miner=MinerConfig(M=5))
-        rows = run_benchmark(config, n_workers=1)
+        rows = run_benchmark(config)
         text = summarize(rows)
         assert "mca" in text and "apriori" in text

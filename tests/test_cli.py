@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -130,14 +131,12 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     @pytest.mark.parametrize("from_file", [False, True])
-    @pytest.mark.parametrize("subcommand", ["mine", "train", "benchmark"])
+    @pytest.mark.parametrize("subcommand", ["train"])  # the one subcommand with --threads
     def test_threads_must_be_positive(
         self, workspace, tmp_path, capsys, subcommand, from_file, value
     ):
         out = tmp_path / "out"
-        argv = [subcommand, "--out", str(out)]
-        if subcommand != "benchmark":
-            argv += [workspace["toy"], "--label", "label"]
+        argv = [subcommand, "--out", str(out), workspace["toy"], "--label", "label"]
         if from_file:
             cfg = tmp_path / "threads.cfg"
             cfg.write_text(f"threads = {value}\n")
@@ -146,6 +145,26 @@ class TestUsageErrors:
             argv += ["--threads", value]
         assert main(argv) == 1
         assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    @pytest.mark.parametrize("subcommand", ["mine", "benchmark"])
+    def test_threads_is_train_only(self, workspace, tmp_path, capsys, subcommand, from_file):
+        # Only the sampler's chain pool has workers; mining runs on one thread.
+        out = tmp_path / "out"
+        argv = [subcommand, "--out", str(out)]
+        if subcommand == "mine":
+            argv += [workspace["toy"], "--label", "label"]
+        if from_file:
+            cfg = tmp_path / "threads.cfg"
+            cfg.write_text("threads = 1\n")
+            argv += ["--config", str(cfg)]
+            named = "unknown key 'threads'"
+        else:
+            argv += ["--threads", "1"]
+            named = "unrecognized arguments: --threads 1"
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-2"])
@@ -251,7 +270,7 @@ class TestUsageErrors:
             ("apriori", ["--top", "5"], "--top"),
             ("apriori", ["--unsigned"], "--unsigned"),
             ("apriori", ["--components", "1"], "--components"),
-            ("apriori", ["--threads", "1"], "--threads"),
+            ("apriori", ["--top", "5", "--mu-min", "0.9"], "--mu-min, --top"),
             ("apriori", ["--top", "5", "--unsigned"], "--top, --unsigned"),
             ("mca", ["--time-budget", "10"], "--time-budget"),
         ],
@@ -437,6 +456,18 @@ class TestMine:
         first = payload["rules"][0]
         assert set(first) == {"literals", "label", "score", "support"}
 
+    def test_mining_starts_no_thread(self, workspace, tmp_path, monkeypatch):
+        expected = tmp_path / "expected.json"
+        assert main(["mine", workspace["toy"], "--label", "label", "--out", str(expected)]) == 0
+
+        def refuse(thread):
+            raise AssertionError("mine started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        out = tmp_path / "rules.json"
+        assert main(["mine", workspace["toy"], "--label", "label", "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_apriori_writes_same_schema(self, workspace, tmp_path, capsys):
         out = str(tmp_path / "rules.json")
         code = main([
@@ -484,8 +515,7 @@ class TestMine:
             proc = subprocess.run(
                 [
                     sys.executable, "-m", "mcarules.cli", "mine", str(table),
-                    "--label", "label", "--r-max", "1", "--threads", "1",
-                    "--out", str(out),
+                    "--label", "label", "--r-max", "1", "--out", str(out),
                 ],
                 env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
                 capture_output=True, text=True, timeout=300,
@@ -937,6 +967,51 @@ class TestUnreadableCsv:
         assert message in proc.stderr.decode()
 
 
+class TestUtf8WhateverTheLocale:
+    """Files the package reads or writes are UTF-8, even under an ASCII locale."""
+
+    @staticmethod
+    def run_cli(argv, utf8_locale):
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG"))}
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env.update(PYTHONPATH=path, LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        env["PYTHONUTF8"] = "1" if utf8_locale else "0"
+        return subprocess.run(
+            [sys.executable, "-m", "mcarules.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_predict_out_and_config_file_under_ascii_locale(self, tmp_path):
+        data = tmp_path / "patients.csv"
+        lines = ["color,size,status"]
+        for _ in range(10):
+            lines += ["red,big,krank-\u00fc", "red,big,krank-\u00fc", "blue,small,gesund",
+                      "blue,small,gesund"]
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model = str(tmp_path / "model.json")
+        assert main([
+            "train", str(data), "--label", "status", "--chains", "1",
+            "--max-iters", "400", "--check-interval", "200", "--seed", "0",
+            "--threads", "1", "--out", model,
+        ]) == 0
+        cfg = tmp_path / "mine.cfg"
+        cfg.write_text("# Schwellen f\u00fcr die Suche\nr-max = 1\n", encoding="utf-8")
+        outputs = {}
+        for utf8_locale in (True, False):
+            predictions = tmp_path / f"predictions_{utf8_locale}.csv"
+            rules = tmp_path / f"rules_{utf8_locale}.json"
+            for argv in (
+                ["predict", model, str(data), "--out", str(predictions)],
+                ["mine", str(data), "--label", "status", "--config", str(cfg),
+                 "--out", str(rules)],
+            ):
+                proc = self.run_cli(argv, utf8_locale)
+                assert proc.returncode == 0, proc.stderr[-2000:]
+            outputs[utf8_locale] = (predictions.read_bytes(), rules.read_bytes())
+        assert outputs[False] == outputs[True]
+        assert "p_krank-\u00fc".encode() in outputs[False][0]
+
+
 class TestEvaluate:
     def test_prints_metrics_and_confusion(self, workspace, capsys):
         code = main(["evaluate", workspace["model"], workspace["toy"]])
@@ -1039,7 +1114,7 @@ class TestBenchmark:
         seen = spy_on_mine(monkeypatch, benchmark)
         argv = [
             "benchmark", "--grid", "3", "--n", "60", "--categories", "2",
-            "--time-budget", "30", "--threads", "1", "--out", str(tmp_path / "bench.csv"),
+            "--time-budget", "30", "--out", str(tmp_path / "bench.csv"),
         ]
         if from_file:
             cfg = tmp_path / "bench.cfg"
