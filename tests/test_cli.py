@@ -131,20 +131,25 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     @pytest.mark.parametrize("from_file", [False, True])
-    @pytest.mark.parametrize("subcommand", ["train"])  # the one subcommand with --threads
+    @pytest.mark.parametrize("subcommand", ["mine", "train", "benchmark"])
     def test_threads_must_be_positive(
         self, workspace, tmp_path, capsys, subcommand, from_file, value
     ):
+        # Only train has --threads; mine and benchmark reject the flag or key whatever its value.
         out = tmp_path / "out"
-        argv = [subcommand, "--out", str(out), workspace["toy"], "--label", "label"]
+        argv = [subcommand, "--out", str(out)]
+        if subcommand != "benchmark":
+            argv += [workspace["toy"], "--label", "label"]
         if from_file:
             cfg = tmp_path / "threads.cfg"
             cfg.write_text(f"threads = {value}\n")
             argv += ["--config", str(cfg)]
+            named = "--threads" if subcommand == "train" else "unknown key 'threads'"
         else:
             argv += ["--threads", value]
+            named = "--threads" if subcommand == "train" else f"arguments: --threads {value}"
         assert main(argv) == 1
-        assert "--threads" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("from_file", [False, True])
