@@ -22,7 +22,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .brl import BrlConfig, RuleList, TrainDiagnostics, render_rule_list
-from .dataset import AttributeSchema, CategoricalDataset, DatasetError, FeatureTable, Literal
+from .dataset import (
+    AttributeSchema, CategoricalDataset, DatasetError, FeatureTable, Literal, not_utf8,
+)
 from .miner import MiningResult, Rule, ScoredRule
 
 FORMAT_VERSION = 1
@@ -68,6 +70,8 @@ def _load_json(path, kind: str) -> dict:
             payload = json.load(fh)
     except OSError as exc:
         raise ArtifactError(f"cannot read {kind} file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ArtifactError(not_utf8(path, exc)) from None
     except json.JSONDecodeError as exc:
         raise ArtifactError(f"{path} is not a valid {kind} file: {exc}") from None
     if not isinstance(payload, dict):

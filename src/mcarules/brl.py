@@ -152,7 +152,10 @@ class Evaluator:
 
     The log-prior and the log-likelihood are each the correctly rounded sum
     (``math.fsum``) of one term per position or clause, so their values do
-    not depend on the order in which the terms are added.
+    not depend on the order in which the terms are added. A position's prior
+    term is ``log_card_weight[rank] - z - log(rules of its cardinality still
+    in stock)``, where ``z`` normalises the weights of the cardinalities in
+    stock: all of them until one runs out.
     """
 
     def __init__(self, dataset: CategoricalDataset, mined_rules, config: BrlConfig):
@@ -176,10 +179,7 @@ class Evaluator:
         ])
         # Every row holds exactly one of attribute 0's literals.
         self.label_rows = np.bitwise_or.reduce(bits[:, :offsets[1]], axis=1)
-        self.n_rules = len(self.rules)
-        self.max_len = self.n_rules
-        if config.max_list_length is not None:
-            self.max_len = min(self.max_len, config.max_list_length)
+        self.max_len = min(len(self.rules), config.max_list_length or len(self.rules))
 
         lam = config.lambda_
         lengths = np.arange(self.max_len + 1)
@@ -194,13 +194,9 @@ class Evaluator:
         self._log_card_weight = [
             c * math.log(eta) - math.lgamma(c + 1) for c in cards.tolist()
         ]
-        z = _logsumexp(self._log_card_weight)
-        # A position's prior term while every cardinality is in stock, by its
-        # cardinality and how many rules of it earlier positions hold.
-        self._card_terms = [
-            [weight - z - math.log(total - used) for used in range(total)]
-            for weight, total in zip(self._log_card_weight, self._card_totals)
-        ]
+        self._log_card_z = _logsumexp(self._log_card_weight)
+        # log(n) for each stock count n: a table lookup beats calling math.log.
+        self._log_stock = [-math.inf, *map(math.log, range(1, max(self._card_totals) + 1))]
         # Log-gamma tables for the likelihood: a clause holds at most every
         # row of a label, and at most n rows in all.
         self._lgamma_label = [
@@ -248,22 +244,15 @@ class Evaluator:
     def _prior_terms(self, indices) -> list[float]:
         """The length term, then each position's cardinality and rule draw."""
         terms = [self._log_len_prior[len(indices)]]
-        used = [0] * len(self._card_totals)
-        z = None  # the normaliser over cardinalities in stock, once one ran out
+        left = self._card_totals.copy()  # rules of each cardinality in stock
+        z = self._log_card_z  # the normaliser over cardinalities in stock
         for i in indices:
             rank = self._card_rank[i]
-            k = used[rank]
-            total = self._card_totals[rank]
-            if z is None:
-                terms.append(self._card_terms[rank][k])
-            else:
-                terms.append(self._log_card_weight[rank] - z - math.log(total - k))
-            used[rank] = k + 1
-            if k + 1 == total:
-                in_stock = [
-                    w for w, u, t in
-                    zip(self._log_card_weight, used, self._card_totals) if u < t
-                ]
+            n = left[rank]
+            terms.append(self._log_card_weight[rank] - z - self._log_stock[n])
+            left[rank] = n - 1
+            if n == 1:
+                in_stock = [w for w, k in zip(self._log_card_weight, left) if k]
                 if in_stock:  # otherwise every rule is placed and no draw follows
                     z = _logsumexp(in_stock)
         return terms
@@ -277,9 +266,9 @@ def _logsumexp(values: list[float]) -> float:
 INSERT, REMOVE, SWAP = "insert", "remove", "swap"
 
 
-def _valid_moves(m: int, n_rules: int, max_len: int):
+def _valid_moves(m: int, max_len: int):
     moves = []
-    if m < max_len and m < n_rules:
+    if m < max_len:
         moves.append(INSERT)
     if m >= 1:
         moves.append(REMOVE)
@@ -298,7 +287,7 @@ def propose(state, mined_rules, rng, max_list_length=None):
     n_rules = len(mined_rules)
     max_len = n_rules if max_list_length is None else min(n_rules, max_list_length)
     m = len(state)
-    moves = _valid_moves(m, n_rules, max_len)
+    moves = _valid_moves(m, max_len)
     if not moves:
         raise ValueError("no valid move from this state")
     move = moves[int(rng.integers(len(moves)))]
@@ -312,12 +301,12 @@ def propose(state, mined_rules, rng, max_list_length=None):
             rule += 1
         pos = int(rng.integers(m + 1))
         candidate = state[:pos] + (rule,) + state[pos:]
-        reverse_moves = _valid_moves(m + 1, n_rules, max_len)
+        reverse_moves = _valid_moves(m + 1, max_len)
         log_ratio = math.log(len(moves) * n_unused) - math.log(len(reverse_moves))
     elif move == REMOVE:
         pos = int(rng.integers(m))
         candidate = state[:pos] + state[pos + 1:]
-        reverse_moves = _valid_moves(m - 1, n_rules, max_len)
+        reverse_moves = _valid_moves(m - 1, max_len)
         log_ratio = math.log(len(moves)) - math.log(
             len(reverse_moves) * (n_rules - m + 1)
         )
@@ -338,7 +327,6 @@ class _ChainState:
     """Picklable snapshot of one chain between segments."""
 
     indices: tuple[int, ...]
-    log_post: float
     rng: np.random.Generator
     iteration: int
 
@@ -349,9 +337,10 @@ class _Prefix:
     ``remaining[j]`` holds the packed words of the rows that no clause before
     clause j captures, and ``terms[j]`` clause j's likelihood term; the last
     entry of each belongs to the default clause. A move that keeps the first
-    p rules reuses ``remaining[p]`` and ``terms[:p]``. Log-posteriors are
-    correctly rounded sums, so the result has the bits of
-    :meth:`Evaluator.log_posterior`.
+    p rules reuses ``remaining[p]`` and ``terms[:p]``. ``log_post`` is the
+    state's log-posterior, the one place a chain keeps it. Log-posteriors are
+    correctly rounded sums, so it has the bits of
+    :meth:`Evaluator.log_posterior` whether the state was built or reached.
     """
 
     def __init__(self, evaluator: Evaluator, state):
@@ -374,10 +363,10 @@ class _Prefix:
         )
         terms = self.terms[:first] + ev._clause_terms(ev._counts(captured))
         log_post = ev.log_prior(candidate) + math.fsum(terms)
-        return log_post, (candidate, first, captured, terms)
+        return log_post, (candidate, first, captured, terms, log_post)
 
     def accept(self, move) -> None:
-        candidate, first, captured, terms = move
+        candidate, first, captured, terms, self.log_post = move
         remaining = self.remaining[:first + 1]
         for hit in captured[:-1]:
             remaining.append(remaining[-1] ^ hit)
@@ -392,7 +381,6 @@ def _advance(evaluator: Evaluator, chain: _ChainState, n_iters: int):
     rng = chain.rng
     # Rebuilt per segment rather than kept in the snapshot, which is pickled.
     current = _Prefix(evaluator, chain.indices)
-    current_lp = chain.log_post
     trace = np.empty(n_iters)
     states = []
     accepted = 0
@@ -402,30 +390,19 @@ def _advance(evaluator: Evaluator, chain: _ChainState, n_iters: int):
             current.state, evaluator.rules, rng, evaluator.config.max_list_length
         )
         candidate_lp, move = current.score(candidate)
-        log_accept = candidate_lp - current_lp + log_q
+        log_accept = candidate_lp - current.log_post + log_q
         if log_accept >= 0 or rng.random() < math.exp(log_accept):
             current.accept(move)
-            current_lp = candidate_lp
             accepted += 1
-        trace[step] = current_lp
+        trace[step] = current.log_post
         if iteration % THIN == 0:
-            states.append((iteration, current.state, current_lp))
-    snapshot = _ChainState(
-        indices=current.state, log_post=current_lp, rng=rng,
-        iteration=chain.iteration + n_iters,
-    )
+            states.append((iteration, current.state, current.log_post))
+    snapshot = _ChainState(current.state, rng, chain.iteration + n_iters)
     return snapshot, trace, states, accepted
 
 
 def _fresh_chain(evaluator: Evaluator, chain_seed: int) -> _ChainState:
-    rng = np.random.default_rng(chain_seed)
-    indices: tuple[int, ...] = ()
-    return _ChainState(
-        indices=indices,
-        log_post=evaluator.log_posterior(indices),
-        rng=rng,
-        iteration=0,
-    )
+    return _ChainState(indices=(), rng=np.random.default_rng(chain_seed), iteration=0)
 
 
 def gelman_rubin(traces) -> float:
@@ -468,8 +445,11 @@ def train(dataset, mined_rules, config: BrlConfig, n_workers: int | None = None)
     after each segment the pooled traces are checked and all chains stop once
     R-hat reaches the threshold (or ``max_iters`` elapses, which sets the
     non-convergence flag). The returned list is the thinned post-burn-in
-    sample with the highest log posterior, its capture counts refreshed on
-    the full training set. Results are identical for any worker count.
+    sample with the highest log posterior, ties going to the earlier
+    iteration, then the lower chain; a run too short to thin any such sample
+    picks among the chains' final states, each scored by the last entry of
+    its trace. Its capture counts are refreshed on the full training set.
+    Results are identical for any worker count.
     """
     evaluator = Evaluator(dataset, mined_rules, config)
     chains = [
@@ -522,23 +502,16 @@ def train(dataset, mined_rules, config: BrlConfig, n_workers: int | None = None)
             pool.shutdown()
 
     burn_in = iterations // 2
-    best = None  # (log_post, -iteration, -chain) maximized
-    for c in range(config.n_chains):
-        for iteration, state, lp in samples[c]:
-            if iteration <= burn_in:
-                continue
-            key = (lp, -iteration, -c)
-            if best is None or key > best[0]:
-                best = (key, state, c, iteration)
-    if best is None:
-        # Too few iterations for any thinned post-burn-in sample: fall back
-        # to the chains' final states.
-        for c, chain in enumerate(chains):
-            key = (chain.log_post, -chain.iteration, -c)
-            if best is None or key > best[0]:
-                best = (key, chain.indices, c, chain.iteration)
-
-    _, state, best_chain, best_iteration = best
+    # Keys (log_post, -iteration, -chain) are unique, so max never compares states.
+    candidates = [
+        ((lp, -iteration, -c), state)
+        for c in range(config.n_chains)
+        for iteration, state, lp in samples[c] if iteration > burn_in
+    ] or [
+        ((traces[c][-1][-1], -chain.iteration, -c), chain.indices)
+        for c, chain in enumerate(chains)
+    ]
+    (best_lp, neg_iteration, neg_chain), state = max(candidates)
     rules = tuple(evaluator.rules[i] for i in state)
     fitted = RuleList(
         rules=rules, capture_counts=evaluator.capture(state), alpha=evaluator.alpha
@@ -549,9 +522,9 @@ def train(dataset, mined_rules, config: BrlConfig, n_workers: int | None = None)
         iterations=iterations,
         acceptance_rate=accepted / max(1, iterations * config.n_chains),
         n_chains=config.n_chains,
-        best_chain=best_chain,
-        best_iteration=best_iteration,
-        best_log_posterior=float(best[0][0]),
+        best_chain=-neg_chain,
+        best_iteration=-neg_iteration,
+        best_log_posterior=float(best_lp),
     )
     return fitted, diagnostics
 

@@ -46,7 +46,7 @@ from .benchmark import (
     summarize,
 )
 from .brl import BrlConfig, render_rule_list, train
-from .dataset import DatasetError, load_csv, load_feature_csv
+from .dataset import DatasetError, load_csv, load_feature_csv, not_utf8
 from .mca import build_indicator, fit
 from .metrics import accuracy, cohen_kappa, confusion_matrix, roc_auc
 from .miner import MinerConfig, mine
@@ -282,6 +282,8 @@ def _merge_config_file(args, options: dict) -> None:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(not_utf8(args.config, exc)) from None
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:

@@ -360,10 +360,12 @@ def _open_csv(path):
             except csv.Error as exc:
                 raise DatasetError(f"{path}: line {_csv_error_line(fh)}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise DatasetError(
-            f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8; "
-            "the file must be UTF-8 text"
-        ) from None
+        raise DatasetError(not_utf8(path, exc)) from None
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """The error text for a file that is not UTF-8, naming the file and its first bad byte."""
+    return f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8; the file must be UTF-8 text"
 
 
 def _csv_error_line(fh) -> int:

@@ -22,6 +22,7 @@ from .dataset import (
     _Column,
     _fill,
     _parse_numeric,
+    not_utf8,
 )
 
 __all__ = ["titanic_dataset", "load_heart_csv", "HEART_COLUMNS"]
@@ -84,8 +85,11 @@ _HEART_CONTINUOUS = frozenset(["age", "trestbps", "chol", "thalach", "oldpeak"])
 
 def load_heart_csv(path, bins: int = 3) -> CategoricalDataset:
     """Load a Cleveland-format heart-disease file into a dataset."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        numbered = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            numbered = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise DatasetError(not_utf8(path, exc)) from None
     lines = [i for i, _ in numbered]
     table = [ln.split(",") for _, ln in numbered]
     for lineno, row in zip(lines, table):

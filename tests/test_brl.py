@@ -25,6 +25,8 @@ from mcarules.brl import (
     Evaluator,
     RuleList,
     TrainDiagnostics,
+    _advance,
+    _fresh_chain,
     _Prefix,
     first_match,
     gelman_rubin,
@@ -409,6 +411,19 @@ def exhaustible_case(n, seed, empty_label):
 
 
 class TestExactSums:
+    def test_log_prior_bits_are_pinned(self):
+        # 201 states of exhaustible_case under three priors, recorded from the
+        # per-cardinality-table implementation as float.hex. They include
+        # lists holding the only three-literal rule, lists that use up every
+        # one- or two-literal rule, and lists longer than the cap (-inf).
+        groups = json.loads((Path(__file__).parent / "prior_pins.json").read_text())
+        ds, rules = exhaustible_case(30, 0, None)
+        for group in groups:
+            pins = group.pop("pins")
+            ev = Evaluator(ds, rules, BrlConfig(**group))
+            got = [[state, float.hex(ev.log_prior(tuple(state)))] for state, _ in pins]
+            assert got == pins
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 150),
@@ -434,7 +449,7 @@ class TestExactSums:
             assert value == ev.log_posterior(candidate)
             if value > -math.inf and rng.random() < 0.6:
                 current.accept(move)
-                assert current.state == candidate
+                assert (current.state, current.log_post) == (candidate, value)
         if cap != 1:
             assert moves[1] and moves[-1] and moves[0]
 
@@ -702,6 +717,29 @@ class TestTrain:
         assert diag.iterations == 600
         assert diag.rhat_history == ()
         assert not diag.converged
+
+    @pytest.mark.parametrize("n_chains", [2, 3])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_too_short_for_a_sample_picks_the_best_final_state(self, n_chains, n_workers):
+        # Under THIN iterations no state is thinned, so the pick falls back to
+        # the chains' final states, keyed as the samples are.
+        rng = np.random.default_rng(23)
+        ds = informative_dataset(rng, n=40)
+        rules = all_single_literal_rules(ds)
+        cfg = BrlConfig(n_chains=n_chains, max_iters=5, seed=7)
+        ev = Evaluator(ds, rules, cfg)
+        finals = []
+        for c in range(n_chains):
+            snapshot, trace, states, _ = _advance(ev, _fresh_chain(ev, cfg.seed + c), 5)
+            assert states == []
+            finals.append(((trace[-1], -snapshot.iteration, -c), snapshot.indices))
+        (lp, neg_iteration, neg_chain), state = max(finals)
+        fitted, diag = train(ds, rules, cfg, n_workers=n_workers)
+        assert fitted.rules == tuple(rules[i] for i in state)
+        np.testing.assert_array_equal(fitted.capture_counts, ev.capture(state))
+        assert (diag.best_chain, diag.best_iteration) == (-neg_chain, -neg_iteration)
+        assert diag.best_iteration == diag.iterations == 5
+        assert diag.best_log_posterior == lp
 
     def test_worker_count_does_not_change_result(self):
         rng = np.random.default_rng(22)

@@ -972,6 +972,42 @@ class TestUnreadableCsv:
         assert message in proc.stderr.decode()
 
 
+class TestJsonAndConfigNotUtf8:
+    """A model, rules or config file that is not UTF-8 names the file and the byte."""
+
+    LATIN_1 = '{"kind": "caf\u00e9"}\n'.encode("latin-1")
+
+    def test_render_model(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(self.LATIN_1)
+        assert main(["render", str(model)]) == 2
+        assert f"{model}: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
+    def test_train_rules(self, workspace, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_bytes(self.LATIN_1)
+        out = tmp_path / "model.json"
+        code = main([
+            "train", workspace["toy"], "--label", "label", "--rules", str(rules),
+            "--threads", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert f"{rules}: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mine_config_is_a_usage_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "mine.cfg"
+        cfg.write_bytes("# r\u00e9glages\ntop = 10\n".encode("latin-1"))
+        out = tmp_path / "rules.json"
+        code = main([
+            "mine", workspace["toy"], "--label", "label", "--config", str(cfg),
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert f"{cfg}: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestUtf8WhateverTheLocale:
     """Files the package reads or writes are UTF-8, even under an ASCII locale."""
 

@@ -122,6 +122,14 @@ class TestHeartLoader:
         with pytest.raises(DatasetError, match=r"'disease' declared numeric but row 4 holds 'x'"):
             load_heart_csv(path)
 
+    def test_bytes_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "heart.csv"
+        path.write_bytes(b"63.0,1.0,1.0,145.0,233.0,1.0,2.0,150.0,0.0,2.3,3.0,0.0,6.0,0\n"
+                         b"\xe9\n")
+        with pytest.raises(DatasetError) as info:
+            load_heart_csv(path)
+        assert str(info.value) == f"{path}: byte 0xe9 is not UTF-8; the file must be UTF-8 text"
+
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "heart.csv"
         path.write_text("\n")
