@@ -22,7 +22,6 @@ config = BenchmarkConfig(
     signal_fraction=0.1,
     signal_strength=0.8,
     seed=0,
-    time_budget=300.0,
 )
 
 rows = run_benchmark(config)

@@ -21,16 +21,13 @@ from .miner import MiningResult, Rule, ScoredRule, rank, union_of
 
 @dataclass(frozen=True)
 class AprioriConfig:
-    """Optional budgets that turn runaway runs into reportable outcomes."""
+    """The wall-clock budget, in seconds, that turns a runaway run into a reportable outcome."""
 
-    time_budget: float | None = None
-    max_candidates: int | None = None
+    time_budget: float = 300.0
 
     def __post_init__(self):
-        if self.time_budget is not None and self.time_budget <= 0:
+        if self.time_budget <= 0:
             raise ValueError("time_budget must be positive")
-        if self.max_candidates is not None and self.max_candidates < 1:
-            raise ValueError("max_candidates must be at least 1")
 
 
 def apriori_mine(
@@ -44,10 +41,9 @@ def apriori_mine(
     An itemset is frequent when its support within some label class reaches
     ``s_min``; every emitted rule is annotated per qualifying label with that
     support and with its confidence (matched-and-labelled over matched),
-    which serves as its score. ``max_candidates`` caps the itemsets whose
-    supports are counted, every single literal included; both budgets are
-    checked before the singles and before each itemset's extension. A run
-    stopped by a budget keeps every itemset counted so far, a partial last
+    which serves as its score. The time budget, 300 s without a ``config``,
+    is checked before the singles and before each itemset's extension. A
+    run stopped by it keeps every itemset counted so far, a partial last
     level included, and reports status "budget_exceeded".
     """
     if s_min <= 0:
@@ -62,12 +58,8 @@ def apriori_mine(
     class_counts = dataset.label_counts()
     has_rows = class_counts > 0
 
-    def out_of_budget(total):
-        if config.max_candidates is not None and total > config.max_candidates:
-            return True
-        if config.time_budget is not None:
-            return time.monotonic() - started > config.time_budget
-        return False
+    def out_of_budget():
+        return time.monotonic() - started > config.time_budget
 
     def count(words):
         """Per-label hit counts, one row per itemset, of ``(labels, itemsets, W)`` words."""
@@ -77,8 +69,7 @@ def apriori_mine(
         return (hits[:, has_rows] / class_counts[has_rows] >= s_min).any(axis=1)
 
     frequent = {}  # itemset tuple of flat literals -> per-label match counts
-    total_candidates = bits.shape[1]
-    budget_hit = out_of_budget(total_candidates)
+    budget_hit = out_of_budget()
     if not budget_hit:
         hits = count(bits)
         singles = np.flatnonzero(is_frequent(hits))
@@ -87,11 +78,10 @@ def apriori_mine(
         for _ in range(1, r_max):
             grown = []
             for itemset in level:
-                cand = singles[attribute_of[singles] > attribute_of[itemset[-1]]]
-                total_candidates += cand.size
-                budget_hit = out_of_budget(total_candidates)
+                budget_hit = out_of_budget()
                 if budget_hit:
                     break
+                cand = singles[attribute_of[singles] > attribute_of[itemset[-1]]]
                 parent_words = np.bitwise_and.reduce(bits[:, itemset], axis=1)
                 hits = count(bits[:, cand] & parent_words[:, None])
                 kept = is_frequent(hits)

@@ -257,9 +257,6 @@ class ModelArtifact:
         masks = [self._rule_mask(rule, table) for rule in self.rule_list.rules]
         return self.rule_list.row_probabilities(masks, table.n)
 
-    def predict(self, table: FeatureTable) -> np.ndarray:
-        return np.argmax(self.predict_proba(table), axis=1)
-
     def render(self) -> str:
         """The fitted list as if / else-if / else text."""
         return render_rule_list(self.rule_list, self.attributes, self.label_names)

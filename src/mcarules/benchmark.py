@@ -37,9 +37,10 @@ BENCH_HEADER = (
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """Grid and budgets for one benchmark run, and the settings both miners share.
+    """Grid for one benchmark run, the settings both miners share, and the baseline's budget.
 
-    The level-wise baseline reads only ``miner.s_min`` and ``miner.r_max``.
+    The level-wise baseline reads only ``miner.s_min``, ``miner.r_max`` and
+    ``apriori``.
     """
 
     attribute_grid: tuple[int, ...] = (10, 50, 100)
@@ -47,11 +48,11 @@ class BenchmarkConfig:
     n_categories: int = 3
     repetitions: int = 1
     miner: MinerConfig = field(default_factory=MinerConfig)
+    apriori: AprioriConfig = field(default_factory=AprioriConfig)
     components: int | None = None
     signal_fraction: float = 0.1
     signal_strength: float = 0.8
     seed: int = 0
-    time_budget: float = 300.0
 
     def __post_init__(self):
         if not self.attribute_grid or min(self.attribute_grid) < 1:
@@ -68,8 +69,6 @@ class BenchmarkConfig:
             raise ValueError("signal_fraction must lie in [0, 1]")
         if not 0 <= self.signal_strength <= 1:
             raise ValueError("signal_strength must lie in [0, 1]")
-        if self.time_budget <= 0:
-            raise ValueError("time_budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,11 +126,10 @@ def _time_mca(dataset, config: BenchmarkConfig):
 
 
 def _time_apriori(dataset, config: BenchmarkConfig):
-    apriori_config = AprioriConfig(time_budget=config.time_budget)
     start = time.perf_counter()
     miner = config.miner
     result = apriori_mine(
-        dataset, s_min=miner.s_min, r_max=miner.r_max, config=apriori_config
+        dataset, s_min=miner.s_min, r_max=miner.r_max, config=config.apriori
     )
     elapsed = time.perf_counter() - start
     return elapsed, result.status, len(result)

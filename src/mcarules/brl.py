@@ -106,7 +106,7 @@ class BrlConfig:
     def __post_init__(self):
         if self.lambda_ <= 0 or self.eta_card <= 0:
             raise ValueError("lambda_ and eta_card must be positive")
-        if np.any(np.asarray(self.alpha, dtype=np.float64) <= 0):
+        if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.n_chains < 1:
             raise ValueError("n_chains must be at least 1")
@@ -116,14 +116,6 @@ class BrlConfig:
             raise ValueError("rhat_threshold must exceed 1")
         if self.max_list_length is not None and self.max_list_length < 1:
             raise ValueError("max_list_length must be at least 1")
-
-    def resolve_alpha(self, n_labels: int) -> np.ndarray:
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        if alpha.ndim == 0:
-            return np.full(n_labels, float(alpha))
-        if alpha.shape != (n_labels,):
-            raise ValueError(f"alpha must be scalar or length {n_labels}")
-        return alpha
 
 
 @dataclass(frozen=True)
@@ -169,7 +161,7 @@ class Evaluator:
         if len(set(self.rules)) != len(self.rules):
             raise ValueError("mined rules contain duplicates")
         self.config = config
-        self.alpha = config.resolve_alpha(dataset.n_labels)
+        self.alpha = np.full(dataset.n_labels, float(config.alpha))
         n = dataset.n
         bits, offsets = dataset.literal_bits, dataset.literal_offsets.tolist()
         self.packed = np.stack([
@@ -401,7 +393,7 @@ def _advance(evaluator: Evaluator, chain: _ChainState, n_iters: int):
     return snapshot, trace, states, accepted
 
 
-def _fresh_chain(evaluator: Evaluator, chain_seed: int) -> _ChainState:
+def _fresh_chain(chain_seed: int) -> _ChainState:
     return _ChainState(indices=(), rng=np.random.default_rng(chain_seed), iteration=0)
 
 
@@ -449,12 +441,15 @@ def train(dataset, mined_rules, config: BrlConfig, n_workers: int | None = None)
     iteration, then the lower chain; a run too short to thin any such sample
     picks among the chains' final states, each scored by the last entry of
     its trace. Its capture counts are refreshed on the full training set.
+
+    The chains run in up to ``n_workers`` processes, never more than one per
+    chain; ``n_workers`` must be at least 1, and ``None`` means one per core.
     Results are identical for any worker count.
     """
+    if n_workers is not None and n_workers < 1:
+        raise ValueError("n_workers must be at least 1")
     evaluator = Evaluator(dataset, mined_rules, config)
-    chains = [
-        _fresh_chain(evaluator, config.seed + c) for c in range(config.n_chains)
-    ]
+    chains = [_fresh_chain(config.seed + c) for c in range(config.n_chains)]
     traces = [[] for _ in chains]
     samples = [[] for _ in chains]
     accepted = 0
@@ -462,8 +457,7 @@ def train(dataset, mined_rules, config: BrlConfig, n_workers: int | None = None)
     converged = False
     iterations = 0
 
-    workers = n_workers or multiprocessing.cpu_count()
-    workers = max(1, min(workers, config.n_chains))
+    workers = min(n_workers or multiprocessing.cpu_count(), config.n_chains)
     pool = None
     if workers > 1:
         context = multiprocessing.get_context(

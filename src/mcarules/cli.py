@@ -126,7 +126,7 @@ def _cfg_converter(key: str, action: argparse.Action):
 # config dataclass field sets that field; left unset, the field keeps the
 # dataclass's own default.
 _DEFAULTS = {
-    "mine": {"algo": "mca", "time_budget": 300.0, "out": "rules.json"},
+    "mine": {"algo": "mca", "out": "rules.json"},
     "train": {"out": "model.json"},
     "benchmark": {"out": "bench.csv"},
 }
@@ -540,7 +540,10 @@ def cmd_benchmark(args) -> int:
             grid["attribute_grid"] = tuple(int(p) for p in text.split(",") if p.strip())
         except ValueError:
             raise UsageError(f"--grid expects integers like 10,50,100, got {text!r}")
-    config = _config(BenchmarkConfig, args, miner=_config(MinerConfig, args), **grid)
+    config = _config(
+        BenchmarkConfig, args,
+        miner=_config(MinerConfig, args), apriori=_config(AprioriConfig, args), **grid,
+    )
 
     def progress(row):
         print(

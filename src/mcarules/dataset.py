@@ -275,8 +275,8 @@ def load_csv(
     ``label_names``, and a label not among them is appended after them.
     """
     numeric_bins = dict(numeric_bins or {})
-    with _open_csv(path) as fh:
-        header, rows = _read_header(fh, path)
+    with _open_csv(path) as (fh, reader):
+        header, rows = _read_header(reader, path)
         if label_column not in header:
             raise DatasetError(f"{path}: label column {label_column!r} not found")
         if label_column in numeric_bins:
@@ -327,8 +327,8 @@ def load_feature_csv(
     give a table with no columns and one row per data row.
     """
     numeric_bins = dict(numeric_bins or {})
-    with _open_csv(path) as fh:
-        header, rows = _read_header(fh, path)
+    with _open_csv(path) as (fh, reader):
+        header, rows = _read_header(reader, path)
         for col in numeric_bins:
             if col not in header:
                 raise DatasetError(f"numeric column {col!r} not found in header")
@@ -346,19 +346,23 @@ def load_feature_csv(
 def _open_csv(path):
     """Open a CSV file for :mod:`csv`, dropping a leading UTF-8 byte-order mark.
 
-    The handle is seekable, so that an error can read the rows again to find
-    a bad row's line; input from a pipe is read into memory first. Bytes that
-    are not UTF-8, and rows the :mod:`csv` module refuses (such as a cell over
-    its field size limit), raise a :class:`DatasetError` naming the file.
+    Yields the handle and a :mod:`csv` reader of it. The handle is seekable,
+    so that a failed check can read the rows again to find a bad row's line;
+    input from a pipe is read into memory first. Bytes that are not UTF-8,
+    and rows the reader refuses (such as a cell over its field size limit),
+    raise a :class:`DatasetError` naming the file and, for a refused row, the
+    line the reader stopped on. Every row is read by the reader before any
+    check reads the file again, so only the reader can refuse one.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             if not fh.seekable():
                 fh = io.StringIO(fh.read(), newline="")
+            reader = csv.reader(fh)
             try:
-                yield fh
+                yield fh, reader
             except csv.Error as exc:
-                raise DatasetError(f"{path}: line {_csv_error_line(fh)}: {exc}") from None
+                raise DatasetError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DatasetError(not_utf8(path, exc)) from None
 
@@ -368,24 +372,11 @@ def not_utf8(path, exc: UnicodeDecodeError) -> str:
     return f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8; the file must be UTF-8 text"
 
 
-def _csv_error_line(fh) -> int:
-    """The file line on which reading ``fh`` again from the start raises :class:`csv.Error`."""
-    fh.seek(0)
-    reader = csv.reader(fh)
-    try:
-        for _ in reader:
-            pass
-    except csv.Error:
-        return reader.line_num
-    raise AssertionError("a csv error did not recur on reading the file again")
-
-
-def _read_header(fh, path):
+def _read_header(reader, path):
     """Stripped header names, and the non-blank rows after them (None if there are none).
 
-    The rows are an iterator over the rest of ``fh``, so the file is read once.
+    The rows are an iterator over the rest of ``reader``, so the file is read once.
     """
-    reader = csv.reader(fh)
     header = next(reader, None)
     if header is None:
         raise DatasetError(f"{path}: file is empty")

@@ -83,8 +83,8 @@ HEART_COLUMNS = (
 _HEART_CONTINUOUS = frozenset(["age", "trestbps", "chol", "thalach", "oldpeak"])
 
 
-def load_heart_csv(path, bins: int = 3) -> CategoricalDataset:
-    """Load a Cleveland-format heart-disease file into a dataset."""
+def load_heart_csv(path) -> CategoricalDataset:
+    """Load a Cleveland-format heart-disease file into a dataset, continuous columns in terciles."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             numbered = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
@@ -101,7 +101,7 @@ def load_heart_csv(path, bins: int = 3) -> CategoricalDataset:
     if not table:
         raise DatasetError(f"{path}: no data rows")
     *cells, diagnosis = (list(map(str.strip, col)) for col in zip(*table))
-    columns = [_Column(name, bins if name in _HEART_CONTINUOUS else None) for name in HEART_COLUMNS]
+    columns = [_Column(name, 3 if name in _HEART_CONTINUOUS else None) for name in HEART_COLUMNS]
     for column, column_cells in zip(columns, cells):
         column.add(column_cells, 0)
     schemas, X = _fill(path, columns, len(table), lines.__getitem__)

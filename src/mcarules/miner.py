@@ -42,10 +42,6 @@ class Rule:
     def __len__(self) -> int:
         return len(self.literals)
 
-    @property
-    def attributes(self) -> frozenset:
-        return frozenset(lit.attribute for lit in self.literals)
-
     def extended(self, literal: Literal) -> "Rule":
         return Rule.of(self.literals + (literal,))
 

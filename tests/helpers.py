@@ -6,13 +6,11 @@ and term by term, and the row-by-row predictions of a saved model."""
 
 import csv
 import math
-import time
 from collections import Counter
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from mcarules.apriori import AprioriConfig
 from mcarules.artifacts import csv_text, read_model
 from mcarules.brl import Evaluator, RuleList, _advance, _fresh_chain
 from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal, load_feature_csv
@@ -72,20 +70,18 @@ def rule_score(rule, table, label) -> float:
     return sum(table.score(lit, label) for lit in rule.literals) / len(rule)
 
 
-def textbook_apriori(dataset, s_min, r_max, config=None):
+def textbook_apriori(dataset, s_min, r_max):
     """Textbook Apriori with ``apriori_mine``'s contract: the equivalence oracle.
 
     Rows become transactions of literal ids (one per attribute); frequent
     itemsets grow level by level by an F(k-1) x F(k-1) join with
-    downward-closure pruning and a full transaction scan per level. The
-    budgets are checked once per level, before its candidates are counted.
+    downward-closure pruning and a full transaction scan per level. It has
+    no budget, so it is the oracle for runs that complete.
     """
     if s_min <= 0:
         raise ValueError("s_min must be positive")
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    config = config or AprioriConfig()
-    started = time.monotonic()
 
     offsets = dataset.literal_offsets
     literal_of = {
@@ -97,13 +93,6 @@ def textbook_apriori(dataset, s_min, r_max, config=None):
     row_labels = [int(y) for y in dataset.Y]
     class_counts = dataset.label_counts()
     n_labels = dataset.n_labels
-
-    def out_of_budget(total):
-        if config.max_candidates is not None and total > config.max_candidates:
-            return True
-        if config.time_budget is not None:
-            return time.monotonic() - started > config.time_budget
-        return False
 
     def count_candidates(candidates):
         counts = {c: np.zeros(n_labels, dtype=np.int64) for c in candidates}
@@ -120,25 +109,17 @@ def textbook_apriori(dataset, s_min, r_max, config=None):
         return False
 
     frequent = {}  # itemset tuple -> per-label match counts
-    total_candidates = len(literal_of)
-    budget_hit = out_of_budget(total_candidates)
-    if not budget_hit:
-        singles = [(flat,) for flat in sorted(literal_of)]
-        counts = count_candidates(singles)
+    singles = [(flat,) for flat in sorted(literal_of)]
+    counts = count_candidates(singles)
+    level = {c: v for c, v in counts.items() if is_frequent(v)}
+    frequent.update(level)
+    for size in range(2, r_max + 1):
+        if not level:
+            break
+        candidates = _join_level(sorted(level), level)
+        counts = count_candidates(candidates)
         level = {c: v for c, v in counts.items() if is_frequent(v)}
         frequent.update(level)
-
-        for size in range(2, r_max + 1):
-            if not level or budget_hit:
-                break
-            candidates = _join_level(sorted(level), level)
-            total_candidates += len(candidates)
-            if out_of_budget(total_candidates):
-                budget_hit = True
-                break
-            counts = count_candidates(candidates)
-            level = {c: v for c, v in counts.items() if is_frequent(v)}
-            frequent.update(level)
 
     buckets = [[] for _ in range(n_labels)]
     for itemset, label_counts in frequent.items():
@@ -153,9 +134,7 @@ def textbook_apriori(dataset, s_min, r_max, config=None):
                 buckets[k].append(
                     ScoredRule(rule=rule, label=k, score=confidence, support=supp)
                 )
-    return union_of(
-        [rank(b) for b in buckets], "budget_exceeded" if budget_hit else None
-    )
+    return union_of([rank(b) for b in buckets])
 
 
 def _join_level(sorted_itemsets, frequent_level):
@@ -205,7 +184,7 @@ def run_chain(dataset, mined_rules, config, chain_seed):
     ``(iteration, state)`` pairs and its count of accepted moves.
     """
     evaluator = Evaluator(dataset, mined_rules, config)
-    chain = _fresh_chain(evaluator, chain_seed)
+    chain = _fresh_chain(chain_seed)
     _, trace, states, accepted = _advance(evaluator, chain, config.max_iters)
     return trace, tuple((iteration, state) for iteration, state, _ in states), accepted
 
@@ -249,7 +228,7 @@ def reference_log_posterior(dataset, mined_rules, config, indices) -> float:
         total -= math.log(in_stock[card])
         in_stock[card] -= 1
 
-    alpha = config.resolve_alpha(dataset.n_labels)
+    alpha = np.full(dataset.n_labels, float(config.alpha))
     remaining = np.ones(dataset.n, dtype=bool)
     counts = []
     for i in indices:

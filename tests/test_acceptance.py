@@ -93,7 +93,7 @@ def test_criterion_1_benchmark_accuracy():
         f"auc={auc:.4f} (target {SURVIVAL_AUC}+-{SURVIVAL_AUC_TOL})"
     )
     if HEART_CSV.exists():
-        heart = load_heart_csv(HEART_CSV, bins=3)
+        heart = load_heart_csv(HEART_CSV)
         h_acc, h_auc = cross_validated_scores(heart, components=1)
         heart_ok = (
             abs(h_acc - HEART_ACC) <= HEART_ACC_TOL

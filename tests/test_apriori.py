@@ -30,6 +30,18 @@ def random_dataset(rng, sizes, n, n_labels=2):
     )
 
 
+def clock_past_budget_at(monkeypatch, check):
+    """Make ``apriori``'s clock pass a 1 s budget at the ``check``-th budget check.
+
+    It reads 0 at the start of a run and at every earlier check, and 10 from
+    then on.
+    """
+    readings = iter([0.0] * check)
+    monkeypatch.setattr(
+        apriori, "time", SimpleNamespace(monotonic=lambda: next(readings, 10.0))
+    )
+
+
 def exhaustive_apriori(dataset, s_min, r_max):
     """Score every valid rule directly and keep the per-label frequent ones."""
     class_counts = dataset.label_counts()
@@ -98,6 +110,8 @@ class TestAprioriMine:
             apriori_mine(ds, s_min=0.0, r_max=2)
         with pytest.raises(ValueError):
             apriori_mine(ds, s_min=0.5, r_max=0)
+        with pytest.raises(ValueError):
+            AprioriConfig(time_budget=0)
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(99)
@@ -153,13 +167,19 @@ class TestAprioriMine:
             hits = int(np.count_nonzero(mask & (ds.Y == sr.label)))
             assert sr.score == hits / int(mask.sum())
 
-    def test_candidate_budget(self):
+    def test_candidate_budget(self, monkeypatch):
+        # The budget is checked before the singles and before each frequent
+        # itemset shorter than r_max is extended, and at no other time.
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, sizes=[2, 2, 2], n=20)
-        result = apriori_mine(
-            ds, s_min=0.1, r_max=3, config=AprioriConfig(max_candidates=1)
-        )
-        assert result.status == "budget_exceeded"
+        full = apriori_mine(ds, s_min=0.1, r_max=3)
+        checks = 1 + sum(len(sr.rule) < 3 for sr in full.rules)
+        config = AprioriConfig(time_budget=1.0)
+        for check in range(1, checks + 2):
+            clock_past_budget_at(monkeypatch, check)
+            stopped = apriori_mine(ds, s_min=0.1, r_max=3, config=config)
+            assert stopped.status == ("ok" if check > checks else "budget_exceeded")
+        assert stopped == full
 
     def test_time_budget(self):
         rng = np.random.default_rng(6)
@@ -213,36 +233,37 @@ class TestTextbookEquivalence:
             ds = with_never_seen_category(ds, 0)
         assert apriori_mine(ds, s_min, r_max) == textbook_apriori(ds, s_min, r_max)
 
-    def test_candidate_budget_keeps_a_subset_of_the_full_run(self):
+    def test_candidate_budget_keeps_a_subset_of_the_full_run(self, monkeypatch):
         ds = random_dataset(np.random.default_rng(11), sizes=[2, 3, 2, 3], n=60, n_labels=3)
         full = apriori_mine(ds, s_min=0.1, r_max=3)
         full_rules = set(full.rules)
-        partial = 0
-        for cap in range(1, 120):
-            stopped = apriori_mine(
-                ds, s_min=0.1, r_max=3, config=AprioriConfig(max_candidates=cap)
-            )
+        full_levels = [{sr.rule for sr in full.rules if len(sr.rule) == k} for k in (1, 2, 3)]
+        config = AprioriConfig(time_budget=1.0)
+        partial_levels = 0
+        for check in range(1, 500):
+            clock_past_budget_at(monkeypatch, check)
+            stopped = apriori_mine(ds, s_min=0.1, r_max=3, config=config)
             if stopped.status == "ok":
-                assert stopped == full
-                continue
+                break
             assert stopped.status == "budget_exceeded"
             # Same scores and supports: a rule counted before the stop keeps
             # every label's entry of the full run.
             assert set(stopped.rules) <= full_rules
             for got, want in zip(stopped.per_label, full.per_label):
                 assert set(got) <= set(want)
-            partial += 0 < len(stopped.rules) < len(full_rules)
-        assert partial > 1
+            for k, want in enumerate(full_levels, start=1):
+                got = {sr.rule for sr in stopped.rules if len(sr.rule) == k}
+                partial_levels += 0 < len(got) < len(want)
+        else:
+            pytest.fail("the run never completed")
+        assert stopped == full
+        assert check > 2 and partial_levels > 1
 
     def test_time_budget_stops_inside_a_level(self, monkeypatch):
         ds = random_dataset(np.random.default_rng(12), sizes=[2, 2, 2], n=40)
         full = apriori_mine(ds, s_min=0.1, r_max=2)
-        # The clock reads 0 at the start, at the singles' check and at the
-        # first parent's check, and is past the budget from then on.
-        readings = iter([0.0, 0.0, 0.0])
-        monkeypatch.setattr(
-            apriori, "time", SimpleNamespace(monotonic=lambda: next(readings, 10.0))
-        )
+        # The singles' check and the first parent's pass; the second parent's does not.
+        clock_past_budget_at(monkeypatch, 3)
         stopped = apriori_mine(
             ds, s_min=0.1, r_max=2, config=AprioriConfig(time_budget=1.0)
         )

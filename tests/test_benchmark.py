@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mcarules.apriori import AprioriConfig
 from mcarules.benchmark import (
     BENCH_HEADER,
     BenchmarkConfig,
@@ -77,13 +78,11 @@ class TestBenchmarkHarness:
             BenchmarkConfig(signal_strength=1.5)
         with pytest.raises(ValueError):
             BenchmarkConfig(repetitions=0)
-        with pytest.raises(ValueError):
-            BenchmarkConfig(time_budget=0)
 
     def test_tiny_grid_produces_rows(self):
         config = BenchmarkConfig(
             attribute_grid=(2, 4), n=80, repetitions=1, miner=MinerConfig(M=10),
-            time_budget=30.0,
+            apriori=AprioriConfig(time_budget=30.0),
         )
         rows = run_benchmark(config)
         assert len(rows) == 4

@@ -19,6 +19,7 @@ from helpers import (
     run_chain,
     with_never_seen_category,
 )
+from mcarules import brl
 from mcarules.artifacts import read_model, write_model
 from mcarules.brl import (
     BrlConfig,
@@ -430,7 +431,7 @@ class TestExactSums:
         seed=st.integers(0, 2**32 - 1),
         empty_label=st.sampled_from([None, 0, 2]),
         cap=st.sampled_from([None, 1, 2, 4, 9]),
-        alpha=st.sampled_from([1.0, (0.5, 1.0, 2.5)]),
+        alpha=st.sampled_from([0.5, 1.0, 2.5]),
     )
     @example(n=64, seed=0, empty_label=None, cap=None, alpha=1.0)
     def test_carried_value_is_the_full_recompute(self, n, seed, empty_label, cap, alpha):
@@ -482,7 +483,7 @@ class TestExactSums:
         seed=st.integers(0, 2**32 - 1),
         size=st.integers(0, 14),
         cap=st.sampled_from([None, 3, 14]),
-        alpha=st.sampled_from([1.0, (0.5, 1.0, 2.5)]),
+        alpha=st.sampled_from([0.5, 1.0, 2.5]),
         lambda_=st.sampled_from([0.5, 3.0]),
     )
     def test_close_to_the_term_by_term_sum(self, n, seed, size, cap, alpha, lambda_):
@@ -730,7 +731,7 @@ class TestTrain:
         ev = Evaluator(ds, rules, cfg)
         finals = []
         for c in range(n_chains):
-            snapshot, trace, states, _ = _advance(ev, _fresh_chain(ev, cfg.seed + c), 5)
+            snapshot, trace, states, _ = _advance(ev, _fresh_chain(cfg.seed + c), 5)
             assert states == []
             finals.append(((trace[-1], -snapshot.iteration, -c), snapshot.indices))
         (lp, neg_iteration, neg_chain), state = max(finals)
@@ -754,6 +755,17 @@ class TestTrain:
         assert fit1.rules == fit2.rules
         np.testing.assert_array_equal(fit1.capture_counts, fit2.capture_counts)
         assert diag1 == diag2
+
+    @pytest.mark.parametrize("n_workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, n_workers, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(brl, "ProcessPoolExecutor", no_pool)
+        ds = informative_dataset(np.random.default_rng(24), n=30)
+        cfg = BrlConfig(n_chains=2, max_iters=50)
+        with pytest.raises(ValueError, match="n_workers must be at least 1"):
+            train(ds, all_single_literal_rules(ds), cfg, n_workers=n_workers)
 
 
 class TestPrediction:

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from unittest import mock
 
@@ -17,9 +17,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import rowwise_predictions, write_dataset_csv
+from mcarules.apriori import AprioriConfig
 from mcarules.artifacts import csv_text, read_model, write_model
 from mcarules import artifacts, benchmark, cli, dataset
-from mcarules.benchmark import synthetic_dataset
+from mcarules.benchmark import BenchmarkConfig, synthetic_dataset
 from mcarules.brl import BrlConfig, RuleList, TrainDiagnostics
 from mcarules.cli import main
 from mcarules.dataset import DatasetError, Literal, load_csv
@@ -413,6 +414,16 @@ def spy_on_mine(monkeypatch, module):
 
 class TestDefaults:
     """A setting given neither as a flag nor in a file takes its dataclass default."""
+
+    @pytest.mark.parametrize("config", [MinerConfig, BrlConfig, AprioriConfig, BenchmarkConfig])
+    def test_every_config_field_is_a_flag(self, config):
+        # A field no flag sets is a setting only the library's own callers
+        # could change. A nested config's fields are checked on its own type.
+        _, commands = cli.build_parser()
+        dests = {action.dest for sub in commands.values() for action in sub._actions}
+        defaults = config()
+        settable = {f.name for f in fields(config) if not is_dataclass(getattr(defaults, f.name))}
+        assert settable - dests == set()
 
     def test_mine_records_miner_config_defaults(self, workspace, tmp_path):
         out = tmp_path / "rules.json"
@@ -1165,3 +1176,17 @@ class TestBenchmark:
             argv.append("--unsigned")
         assert main(argv) == 0
         assert seen and all(config.signed is False for config in seen)
+
+    @pytest.mark.parametrize("flags, budget", [([], 300.0), (["--time-budget", "30"], 30.0)])
+    def test_time_budget_reaches_the_baseline(self, tmp_path, monkeypatch, capsys, flags, budget):
+        seen = []
+
+        def spy(dataset, s_min, r_max, config):
+            seen.append(config)
+            return real(dataset, s_min, r_max, config)
+
+        real = benchmark.apriori_mine
+        monkeypatch.setattr(benchmark, "apriori_mine", spy)
+        argv = ["benchmark", "--grid", "3", "--n", "60", "--out", str(tmp_path / "bench.csv")]
+        assert main(argv + flags) == 0
+        assert seen and all(config == AprioriConfig(time_budget=budget) for config in seen)

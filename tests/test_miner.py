@@ -141,8 +141,9 @@ def reference_mine(dataset, model, config):
                 if pool[rule].score < score_bound(length, working_mu, rho_bar_k):
                     continue
                 parent_mask = rule_mask(rule, dataset.X)
+                held = {lit.attribute for lit in rule.literals}
                 for flat, lit in enumerate(literals):
-                    if not defined[flat] or lit.attribute in rule.attributes:
+                    if not defined[flat] or lit.attribute in held:
                         continue
                     child = rule.extended(lit)
                     if child in pool:
