@@ -13,11 +13,11 @@ bytes.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -321,19 +321,22 @@ def read_model(path) -> ModelArtifact:
     )
 
 
-def csv_text(header, rows) -> str:
+def csv_text(header, rows, index=None) -> str:
     """A comma-separated table, each cell quoted only where it needs it.
 
     Floats are written with ``str``, the shortest text that reads back as
-    the same value, so equal values are equal bytes.
+    the same value, so equal values are equal bytes. With ``index``, the
+    table's rows are ``rows[i] for i in index``: each of ``rows`` is
+    rendered once, however often it is repeated.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    # writerow returns what its file's write returns, and str hands back the line.
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    lines = [writer.writerow(row) for row in rows]
+    if index is not None:
+        lines = map(lines.__getitem__, index)
+    return writer.writerow(header) + "".join(lines)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write one comma-separated table atomically."""
-    atomic_write_text(path, csv_text(header, rows))
+def write_csv(path, header, rows, index=None) -> None:
+    """Write one comma-separated table atomically; ``index`` as in :func:`csv_text`."""
+    atomic_write_text(path, csv_text(header, rows, index))

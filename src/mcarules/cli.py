@@ -446,8 +446,8 @@ def cmd_predict(args) -> int:
     )
     probs = artifact.predict_proba(table)
     # Every row takes its clause's probabilities, so at most len(rules) + 1 rows
-    # differ. Each distinct row, found by its bytes, is rendered once; str gives
-    # a float the text csv.writer would.
+    # differ. Each distinct row, found by its bytes, is rendered once, and the
+    # output repeats its line; str gives a float the text csv.writer would.
     keys = np.ascontiguousarray(probs).view(np.dtype((np.void, probs.itemsize * probs.shape[1])))
     _, first, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)
     distinct = probs[first]
@@ -457,12 +457,12 @@ def cmd_predict(args) -> int:
         for k, row in zip(np.argmax(distinct, axis=1).tolist(), distinct.tolist())
     ]
     header = ["prediction"] + [f"p_{name}" for name in names]
-    rows = [rendered[g] for g in inverse.ravel().tolist()]
+    index = inverse.ravel().tolist()
     if args.out:
-        write_csv(args.out, header, rows)
-        print(f"wrote {len(rows)} predictions -> {args.out}")
+        write_csv(args.out, header, rendered, index)
+        print(f"wrote {len(index)} predictions -> {args.out}")
     else:
-        sys.stdout.write(csv_text(header, rows))
+        sys.stdout.write(csv_text(header, rendered, index))
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, islice
+from operator import itemgetter
 from typing import ClassVar
 
 import numpy as np
@@ -400,10 +401,15 @@ def _attribute_columns(header, numeric_bins, schemas, ignore) -> dict[int, _Colu
             pos: _Column(name, numeric_bins.get(name))
             for pos, name in enumerate(header) if name not in ignore
         }
-    index = {name: pos for pos, name in enumerate(header) if name not in ignore}
+    index = {name: pos for pos, name in enumerate(header)}
     for schema in schemas:
         if schema.name not in index:
             raise DatasetError(f"model references unknown attribute {schema.name!r}")
+        if schema.name in ignore:
+            raise DatasetError(
+                f"column {schema.name!r} is one the model's rules test, "
+                "so it cannot be the label or be ignored"
+            )
     return {
         index[s.name]: _Column(s.name, numeric_bins.get(s.name), s.categories) for s in schemas
     }
@@ -421,22 +427,38 @@ class _Column:
         self.name = name
         self.bins = bins
         self.lookup = {category: code for code, category in enumerate(categories)}
+        self.raw: dict[str, int] = {}  # each raw cell met so far -> its category's code
         self.chunks: list[np.ndarray] = []
         self.bad = None  # (row index, cell) of the first cell that is not a real
 
-    def add(self, cells: list[str], start: int) -> None:
-        """Take the next chunk of stripped cells, the first of which is row ``start``."""
+    def add(self, cells, start: int, missing_as_category: bool) -> bool:
+        """Take the next chunk of raw cells, the first of which is row ``start``.
+
+        Cells are stripped. Return False, taking no codes, if one is empty
+        and ``missing_as_category`` is not set. A categorical column strips
+        and checks only the raw cells it has not met before.
+        """
         if self.bins is None:
-            lookup = self.lookup
+            raw, lookup = self.raw, self.lookup
             for cell in dict.fromkeys(cells):
-                lookup.setdefault(cell, len(lookup))
-            self.chunks.append(np.fromiter(map(lookup.__getitem__, cells), np.int32, len(cells)))
-        elif self.bad is None:
+                if cell in raw:
+                    continue
+                category = cell.strip()
+                if not (category or missing_as_category):
+                    return False
+                raw[cell] = lookup.setdefault(category, len(lookup))
+            self.chunks.append(np.fromiter(map(raw.__getitem__, cells), np.int32, len(cells)))
+            return True
+        cells = list(map(str.strip, cells))
+        if not (missing_as_category or all(cells)):
+            return False
+        if self.bad is None:
             try:
                 self.chunks.append(np.fromiter(map(float, cells), np.float64, len(cells)))
             except ValueError:
                 i, cell = _first_non_real(cells)
                 self.bad = start + i, cell
+        return True
 
     def finish(self, path, line_of) -> AttributeSchema:
         """The schema, once every row is read; ``chunks`` then hold the codes.
@@ -472,22 +494,25 @@ def _read_chunked(fh, path, header, rows, columns: dict[int, _Column], missing_a
 
     Rows are taken :data:`CHUNK_ROWS` at a time. Every row must have one cell
     per header name, and no kept cell may be empty unless
-    ``missing_as_category`` is set; both checks run on each chunk, and only
-    kept cells are stripped. Only when a check fails is ``fh`` read again,
+    ``missing_as_category`` is set; both checks run on each chunk. Only the
+    kept columns of a chunk are transposed, and only their cells are
+    stripped, each distinct cell of a categorical column once (see
+    :meth:`_Column.add`). Only when a check fails is ``fh`` read again,
     row by row, for the first bad row, so the error names the row that a
     row-by-row check would.
     """
     width = len(header)
+    positions = list(columns)
+    # A row's kept cells as a tuple: itemgetter of one position gives the bare cell.
+    kept = (itemgetter(*positions) if len(positions) > 1
+            else lambda row: tuple(row[p] for p in positions))
     n = 0
     while block := list(islice(rows, CHUNK_ROWS)):
         if set(map(len, block)) != {width}:
             _raise_first_bad_row(fh, path, header, columns, missing_as_category, rows)
-        transposed = list(zip(*block))
-        for pos, column in columns.items():
-            cells = list(map(str.strip, transposed[pos]))
-            if not (missing_as_category or all(cells)):
+        for column, cells in zip(columns.values(), zip(*map(kept, block))):
+            if not column.add(cells, n, missing_as_category):
                 _raise_first_bad_row(fh, path, header, columns, missing_as_category, rows)
-            column.add(cells, n)
         n += len(block)
     return n
 

@@ -103,7 +103,7 @@ def load_heart_csv(path) -> CategoricalDataset:
     *cells, diagnosis = (list(map(str.strip, col)) for col in zip(*table))
     columns = [_Column(name, 3 if name in _HEART_CONTINUOUS else None) for name in HEART_COLUMNS]
     for column, column_cells in zip(columns, cells):
-        column.add(column_cells, 0)
+        column.add(column_cells, 0, missing_as_category=True)  # empty cells are not refused here
     schemas, X = _fill(path, columns, len(table), lines.__getitem__)
     grade = _parse_numeric("disease", diagnosis, path, lines.__getitem__)
     y = (grade != 0.0).astype(np.int64)

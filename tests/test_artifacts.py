@@ -1,14 +1,19 @@
 """Tests for artifact serialization: rules, models, CSV tables."""
 
+import csv
+import io
 import json
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mcarules.artifacts import (
     ArtifactError,
     atomic_write_text,
+    csv_text,
     read_model,
     read_rules,
     write_csv,
@@ -300,11 +305,37 @@ class TestModelRoundTrip:
             read_model(path)
 
 
+CELL_TEXT = st.text(st.sampled_from(["a", " ", ",", '"', "\r", "\n", "é", "日"]), max_size=4)
+
+
+@st.composite
+def indexed_tables(draw):
+    """A header, rows of its width with cells that may need quoting, and an index into the rows."""
+    width = draw(st.integers(1, 3))
+    cells = st.one_of(CELL_TEXT, st.integers(), st.floats())
+    header = draw(st.lists(CELL_TEXT, min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(cells, min_size=width, max_size=width), max_size=4))
+    index = draw(st.lists(st.integers(0, len(rows) - 1), max_size=8)) if rows else []
+    return header, rows, index
+
+
 class TestCsvAndAtomicity:
     def test_write_csv(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["a", "b"], [[1, 0.5], [2, 0.25]])
         assert path.read_text() == "a,b\n1,0.5\n2,0.25\n"
+
+    @given(case=indexed_tables())
+    @example(case=(["h"], [["a,b"], ['q"t']], []))  # an empty index
+    @example(case=(["h"], [["a,b"], ['q"t']], [1, 1, 1]))  # repeats, and an unused row
+    @example(case=(["h", "é"], [["l\r\nm", 0.5], ["x", 1]], [1, 0, 1]))
+    def test_indexed_rows_are_the_rows_picked_out(self, case):
+        header, rows, index = case
+        picked = [rows[i] for i in index]
+        assert csv_text(header, rows, index) == csv_text(header, picked)
+        buffer = io.StringIO()  # the csv module writing every row itself
+        csv.writer(buffer, lineterminator="\n").writerows([header, *picked])
+        assert csv_text(header, picked) == buffer.getvalue()
 
     def test_atomic_write_replaces(self, tmp_path):
         path = tmp_path / "x.txt"

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line pipeline: exit codes and artifacts."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -653,6 +655,43 @@ class TestPredict:
         assert main(["predict", workspace["model"], str(held_out), "--out", str(out)]) == 0
         assert out.read_bytes() == rowwise_predictions(workspace["model"], held_out).encode()
 
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_each_distinct_line_is_rendered_once(self, workspace, tmp_path, monkeypatch, capsys,
+                                                 to_file):
+        combos = ["red,big", "blue,small", "red,small", "blue,big"]
+        held_out = tmp_path / "held_out.csv"
+        held_out.write_text("color,size\n" + "".join(f"{combos[i % 4]}\n" for i in range(3000)))
+        out = tmp_path / "predictions.csv"
+        rendered = []
+        make_writer = csv.writer
+
+        class CountingWriter:
+            def __init__(self, *args, **kwargs):
+                self.writer = make_writer(*args, **kwargs)
+
+            def writerow(self, row):
+                rendered.append(row)
+                return self.writer.writerow(row)
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        monkeypatch.setattr(artifacts.csv, "writer", CountingWriter)
+        argv = ["predict", workspace["model"], str(held_out)] + ["--out", str(out)] * to_file
+        assert main(argv) == 0
+        text = out.read_text() if to_file else capsys.readouterr().out
+        assert len(text.splitlines()) == 3001
+        assert len(rendered) <= len(read_model(workspace["model"]).rule_list.rules) + 2
+
+    def test_label_naming_a_column_the_rules_test_names_the_clash(self, workspace, capsys):
+        tested = read_model(workspace["model"]).used_attributes[0].name
+        assert main(["predict", workspace["model"], workspace["toy"], "--label", tested]) == 2
+        err = capsys.readouterr().err
+        assert (f"column {tested!r} is one the model's rules test, "
+                "so it cannot be the label or be ignored") in err
+        assert "unknown attribute" not in err
+
     def test_ignored_label_column_may_have_empty_cells(self, workspace, tmp_path, capsys):
         unlabelled = tmp_path / "unlabelled.csv"
         unlabelled.write_text("color,size,label\nred,big,yes\nblue,small,\nred,big,\n")
@@ -869,6 +908,7 @@ def test_predict_calls_each_function_the_benchmark_traces_once(workspace, tmp_pa
 
 CATEGORIES = ["a", "b", "c"]
 NEW_CELLS = ["zz", " b ", "c,d", 'q"t', "é", ""]
+LABELS = ["yes", "no", "a,b", 'q"t', "l\nm", "é"]  # the last four need quoting or are not ASCII
 
 
 @st.composite
@@ -880,8 +920,10 @@ def predict_cases(draw):
     missing = draw(st.booleans())
     cells = st.sampled_from(CATEGORIES + [""] * missing)
     n_train = draw(st.integers(6, 12))
+    labels = st.sampled_from(draw(st.lists(st.sampled_from(LABELS), min_size=2, max_size=2,
+                                           unique=True)))
     train = [[draw(cells) for _ in names] + ([str(draw(st.integers(0, 9)))] if numeric else [])
-             + [draw(st.sampled_from(["yes", "no"]))] for _ in range(n_train)]
+             + [draw(labels)] for _ in range(n_train)]
     columns = names + ["num"] * numeric
     extra = draw(st.lists(st.sampled_from(["note", "y", "weight"]), unique=True, max_size=2))
     header = draw(st.permutations(columns + extra))
@@ -934,11 +976,15 @@ class TestPredictMatchesRowwise:
             expected = rowwise_predictions(model, data, bins, missing)
         except ValueError:
             expected = None
+        stdout = io.StringIO()
         with mock.patch.object(dataset, "CHUNK_ROWS", chunk_rows):
             code = main(["predict", str(model), str(data), "--out", str(out), *flags])
+            with contextlib.redirect_stdout(stdout):
+                stdout_code = main(["predict", str(model), str(data), *flags])
         if expected is not None:
-            assert code == 0
+            assert code == stdout_code == 0
             assert out.read_bytes() == expected.encode()
+            assert stdout.getvalue().encode() == expected.encode()
 
 
 class TestUnreadableCsv:
@@ -1088,6 +1134,14 @@ class TestEvaluate:
         csv.write_text("color,size,label\nred,big,maybe\nblue,small,perhaps\n")
         assert main(["evaluate", workspace["model"], str(csv)]) == 2
         assert "unknown to the model" in capsys.readouterr().err
+
+    def test_label_naming_a_column_the_rules_test_names_the_clash(self, workspace, capsys):
+        tested = read_model(workspace["model"]).used_attributes[0].name
+        assert main(["evaluate", workspace["model"], workspace["toy"], "--label", tested]) == 2
+        err = capsys.readouterr().err
+        assert (f"column {tested!r} is one the model's rules test, "
+                "so it cannot be the label or be ignored") in err
+        assert "unknown attribute" not in err
 
     def test_rules_file_rejected_as_model(self, workspace, capsys):
         code = main(["evaluate", workspace["rules"], workspace["toy"]])

@@ -719,7 +719,8 @@ class TestFeatureTable:
         with pytest.raises(DatasetError, match="model references unknown attribute 'shape'"):
             load_feature_csv(path, schemas=(schema,))
         schema = AttributeSchema(name="size", categories=("s", "m"))
-        with pytest.raises(DatasetError, match="model references unknown attribute 'size'"):
+        with pytest.raises(DatasetError, match="column 'size' is one the model's rules test, "
+                                               "so it cannot be the label or be ignored"):
             load_feature_csv(path, ignore_columns=("size",), schemas=(schema,))
 
     def test_model_labels_come_first(self, tmp_path):
