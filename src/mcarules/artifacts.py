@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
@@ -23,9 +22,9 @@ import numpy as np
 
 from .brl import BrlConfig, RuleList, TrainDiagnostics, render_rule_list
 from .dataset import (
-    AttributeSchema, CategoricalDataset, DatasetError, FeatureTable, Literal, not_utf8,
+    AttributeSchema, CategoricalDataset, FeatureTable, Literal, not_utf8,
 )
-from .miner import MiningResult, Rule, ScoredRule
+from .miner import MiningResult, Rule, ScoredRule, rule_mask
 
 FORMAT_VERSION = 1
 
@@ -47,11 +46,15 @@ class ArtifactError(ValueError):
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text so readers never observe a half-written file."""
+    """Write text so readers never observe a half-written file.
+
+    The file gets the permissions a plain ``open`` would give a new one.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")  # exclusive: never another writer's file
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -229,32 +232,29 @@ class ModelArtifact:
         used = {lit.attribute for rule in self.rule_list.rules for lit in rule.literals}
         return tuple(self.attributes[j] for j in sorted(used))
 
-    def _rule_mask(self, rule: Rule, table: FeatureTable) -> np.ndarray:
-        mask = np.ones(table.n, dtype=bool)
-        for lit in rule.literals:
-            schema = self.attributes[lit.attribute]
-            try:
-                attr = table.attribute_index(schema.name)
-            except DatasetError:
-                raise ArtifactError(
-                    f"model references unknown attribute {schema.name!r}"
-                ) from None
-            categories = table.schemas[attr].categories
-            category = schema.categories[lit.category]
-            if category in categories:
-                mask &= table.X[:, attr] == categories.index(category)
-            else:
-                mask[:] = False
-        return mask
-
     def predict_proba(self, table: FeatureTable) -> np.ndarray:
         """First-match clause probabilities for every row of ``table``.
 
-        Literals are matched by attribute and category name; a category the
-        table never exhibits matches no rows. Unknown attributes are an
-        error since silently skipping a literal would change the rule.
+        Each literal is bound once per call to ``table``'s coding by
+        attribute and category name; a category the table never exhibits
+        becomes code ``n_categories``, which no row holds. Unknown
+        attributes are an error since silently skipping a literal would
+        change the rule.
         """
-        masks = [self._rule_mask(rule, table) for rule in self.rule_list.rules]
+        columns = {schema.name: j for j, schema in enumerate(table.schemas)}
+
+        def bind(lit: Literal) -> Literal:
+            schema = self.attributes[lit.attribute]
+            if schema.name not in columns:
+                raise ArtifactError(f"model references unknown attribute {schema.name!r}")
+            j = columns[schema.name]
+            categories = table.schemas[j].categories
+            category = schema.categories[lit.category]
+            return Literal(j, categories.index(category) if category in categories
+                           else len(categories))
+
+        masks = [rule_mask([bind(lit) for lit in rule.literals], table.X)
+                 for rule in self.rule_list.rules]
         return self.rule_list.row_probabilities(masks, table.n)
 
     def render(self) -> str:

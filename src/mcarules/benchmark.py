@@ -12,7 +12,7 @@ outside the clock.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -29,10 +29,6 @@ __all__ = [
     "run_benchmark",
     "bench_rows",
 ]
-
-BENCH_HEADER = (
-    "attributes", "miner", "repetition", "seconds", "status", "n_rules"
-)
 
 
 @dataclass(frozen=True)
@@ -79,6 +75,9 @@ class BenchRow:
     seconds: float
     status: str
     n_rules: int
+
+
+BENCH_HEADER = tuple(f.name for f in fields(BenchRow))
 
 
 def synthetic_dataset(
@@ -177,10 +176,7 @@ def run_benchmark(config: BenchmarkConfig, progress=None) -> list[BenchRow]:
 
 def bench_rows(rows) -> list[list]:
     """Flatten benchmark rows for the CSV writer."""
-    return [
-        [r.attributes, r.miner, r.repetition, r.seconds, r.status, r.n_rules]
-        for r in rows
-    ]
+    return [list(astuple(r)) for r in rows]
 
 
 def summarize(rows) -> str:

@@ -526,7 +526,7 @@ def train(dataset, mined_rules, config: BrlConfig, n_workers: int | None = None)
 def predict_proba_batch(rule_list: RuleList, X: np.ndarray) -> np.ndarray:
     """First-match clause probabilities for every row of a category-index matrix."""
     X = np.asarray(X)
-    masks = [rule_mask(rule, X) for rule in rule_list.rules]
+    masks = [rule_mask(rule.literals, X) for rule in rule_list.rules]
     return rule_list.row_probabilities(masks, X.shape[0])
 
 

@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, islice
@@ -79,7 +79,6 @@ class FeatureTable:
 
     schemas: tuple[AttributeSchema, ...]
     X: np.ndarray
-    _attr_index: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _noun: ClassVar[str] = "table"
 
     def __post_init__(self):
@@ -96,7 +95,6 @@ class FeatureTable:
             if col.min() < 0 or col.max() >= schema.n_categories:
                 raise DatasetError(f"X column {j} ({schema.name!r}) has out-of-range category index")
         X.setflags(write=False)
-        self._attr_index.update({s.name: j for j, s in enumerate(self.schemas)})
 
     @property
     def n(self) -> int:
@@ -112,12 +110,6 @@ class FeatureTable:
         offsets = np.cumsum([0] + [s.n_categories for s in self.schemas])
         offsets.setflags(write=False)
         return offsets
-
-    def attribute_index(self, name: str) -> int:
-        try:
-            return self._attr_index[name]
-        except KeyError:
-            raise DatasetError(f"unknown attribute {name!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

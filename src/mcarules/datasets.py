@@ -86,7 +86,7 @@ _HEART_CONTINUOUS = frozenset(["age", "trestbps", "chol", "thalach", "oldpeak"])
 def load_heart_csv(path) -> CategoricalDataset:
     """Load a Cleveland-format heart-disease file into a dataset, continuous columns in terciles."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             numbered = [(i, ln.strip()) for i, ln in enumerate(fh, start=1) if ln.strip()]
     except UnicodeDecodeError as exc:
         raise DatasetError(not_utf8(path, exc)) from None

@@ -225,7 +225,6 @@ class ScoreTable:
 
     scores: np.ndarray
     offsets: np.ndarray
-    n_labels: int
 
     def flat_index(self, literal: Literal) -> int:
         return int(self.offsets[literal.attribute]) + literal.category
@@ -257,5 +256,4 @@ def score_table(model: McaModel, dataset: CategoricalDataset) -> ScoreTable:
     norms = np.sqrt(model.diagonal)
     norms = np.where(norms < NORM_TOL, np.nan, norms)
     cos = model.literal_label / np.outer(norms[:J], norms[J:])
-    return ScoreTable(scores=np.clip(cos, -1.0, 1.0), offsets=offsets[:-1],
-                      n_labels=dataset.n_labels)
+    return ScoreTable(scores=np.clip(cos, -1.0, 1.0), offsets=offsets[:-1])

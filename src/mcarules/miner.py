@@ -130,10 +130,10 @@ def union_of(per_label, status: str | None = None) -> MiningResult:
     )
 
 
-def rule_mask(rule: Rule, X: np.ndarray) -> np.ndarray:
-    """Boolean row mask where every literal of the rule holds."""
-    mask = X[:, rule.literals[0].attribute] == rule.literals[0].category
-    for lit in rule.literals[1:]:
+def rule_mask(literals, X: np.ndarray) -> np.ndarray:
+    """Boolean row mask where every one of a non-empty sequence of literals holds."""
+    mask = X[:, literals[0].attribute] == literals[0].category
+    for lit in literals[1:]:
         mask = mask & (X[:, lit.attribute] == lit.category)
     return mask
 
@@ -172,11 +172,7 @@ def mine(
     """
     table = score_table(model, dataset)
     scores = table.scores if config.signed else np.abs(table.scores)
-    rho_bar = np.full(dataset.n_labels, np.nan)
-    for k in range(dataset.n_labels):
-        col = scores[~np.isnan(scores[:, k]), k]
-        if col.size:
-            rho_bar[k] = col.max()
+    rho_bar = np.fmax.reduce(scores, axis=0, initial=np.nan)
 
     attribute_of = np.repeat(np.arange(dataset.p), np.diff(dataset.literal_offsets))
     class_counts = dataset.label_counts()

@@ -61,7 +61,7 @@ def support(rule, dataset, label) -> float:
     total = int(class_mask.sum())
     if total == 0:
         raise ValueError(f"label class {label} has no samples; support undefined")
-    hits = int(np.count_nonzero(rule_mask(rule, dataset.X) & class_mask))
+    hits = int(np.count_nonzero(rule_mask(rule.literals, dataset.X) & class_mask))
     return hits / total
 
 
@@ -232,7 +232,7 @@ def reference_log_posterior(dataset, mined_rules, config, indices) -> float:
     remaining = np.ones(dataset.n, dtype=bool)
     counts = []
     for i in indices:
-        hit = rule_mask(mined_rules[i], dataset.X) & remaining
+        hit = rule_mask(mined_rules[i].literals, dataset.X) & remaining
         counts.append(np.bincount(dataset.Y[hit], minlength=dataset.n_labels))
         remaining &= ~hit
     counts.append(np.bincount(dataset.Y[remaining], minlength=dataset.n_labels))

@@ -51,7 +51,7 @@ def exhaustive_apriori(dataset, s_min, r_max):
             cat_ranges = [range(dataset.schemas[a].n_categories) for a in attrs]
             for cats in product(*cat_ranges):
                 rule = Rule.of(Literal(a, c) for a, c in zip(attrs, cats))
-                mask = rule_mask(rule, dataset.X)
+                mask = rule_mask(rule.literals, dataset.X)
                 matched = int(mask.sum())
                 if matched == 0:
                     continue
@@ -163,7 +163,7 @@ class TestAprioriMine:
         ds = random_dataset(rng, sizes=[2, 2], n=30)
         result = apriori_mine(ds, s_min=0.2, r_max=2)
         for sr in result.rules:
-            mask = rule_mask(sr.rule, ds.X)
+            mask = rule_mask(sr.rule.literals, ds.X)
             hits = int(np.count_nonzero(mask & (ds.Y == sr.label)))
             assert sr.score == hits / int(mask.sum())
 

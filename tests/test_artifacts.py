@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import os
+import stat
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcarules.artifacts import (
@@ -28,7 +30,7 @@ from mcarules.brl import (
     predict_proba_batch,
     render_rule_list,
 )
-from mcarules.dataset import AttributeSchema, CategoricalDataset, Literal
+from mcarules.dataset import AttributeSchema, CategoricalDataset, FeatureTable, Literal
 from mcarules.miner import MinerConfig, MiningResult, Rule, ScoredRule
 
 
@@ -176,6 +178,55 @@ class TestRulesRoundTrip:
             read_rules(tmp_path / "absent.json", small_dataset())
 
 
+@st.composite
+def rebound_tables(draw):
+    """A rule list, its model's schemas, a table naming those columns otherwise, and its recoding.
+
+    The table permutes the model's columns and each column's categories,
+    drops some categories, and adds categories and columns the model never
+    saw. The recoding is the table's rows coded against the model's schemas,
+    where a category the model never saw gets a code no literal holds.
+    """
+    sizes = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    schemas = tuple(
+        AttributeSchema(name=f"a{j}", categories=tuple(f"c{v}" for v in range(size)))
+        for j, size in enumerate(sizes)
+    )
+
+    def rule():
+        attributes = draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1, max_size=2,
+                                   unique=True))
+        return Rule.of([Literal(j, draw(st.integers(0, sizes[j] - 1))) for j in attributes])
+
+    rules = tuple(rule() for _ in range(draw(st.integers(0, 3))))
+    counts = draw(st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=2),
+                           min_size=len(rules) + 1, max_size=len(rules) + 1))
+    rule_list = RuleList(rules=rules, capture_counts=counts, alpha=[1.0, 1.0])
+
+    columns = []
+    for schema in schemas:
+        names = draw(st.permutations(list(schema.categories) + ["n0", "n1"]))
+        columns.append(AttributeSchema(schema.name, tuple(names[:draw(st.integers(2, len(names)))])))
+    columns += [AttributeSchema(f"x{e}", ("u", "v")) for e in range(draw(st.integers(0, 2)))]
+    columns = draw(st.permutations(columns))
+    n = draw(st.integers(1, 6))
+    X = np.array([[draw(st.integers(0, c.n_categories - 1)) for c in columns] for _ in range(n)])
+    table = FeatureTable(schemas=tuple(columns), X=X)
+
+    position = {c.name: j for j, c in enumerate(columns)}
+
+    def recode(row):
+        codes = []
+        for schema in schemas:
+            j = position[schema.name]
+            name = columns[j].categories[row[j]]
+            codes.append(schema.categories.index(name) if name in schema.categories
+                         else schema.n_categories)
+        return codes
+
+    return schemas, rule_list, table, np.array([recode(row) for row in X])
+
+
 class TestModelRoundTrip:
     def test_round_trip_predictions_match(self, tmp_path):
         ds = small_dataset()
@@ -247,6 +298,19 @@ class TestModelRoundTrip:
         expected = artifact.rule_list.clause_probabilities()
         assert np.array_equal(probs[0], expected[1])  # size is l
         assert np.array_equal(probs[1], expected[2])  # default clause
+
+    @settings(deadline=None)
+    @given(case=rebound_tables())
+    def test_predict_binds_by_name(self, tmp_path_factory, case):
+        schemas, rule_list, table, recoded = case
+        model = CategoricalDataset(
+            schemas=schemas, X=np.zeros((2, len(schemas))), Y=[0, 1], label_names=("no", "yes")
+        )
+        _, diagnostics = small_model(small_dataset())
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        write_model(path, rule_list, diagnostics, model, BrlConfig())
+        got = read_model(path).predict_proba(table)
+        assert np.array_equal(got, predict_proba_batch(rule_list, recoded))
 
     def test_missing_attribute_rejected_at_predict(self, tmp_path):
         ds = small_dataset()
@@ -336,6 +400,20 @@ class TestCsvAndAtomicity:
         buffer = io.StringIO()  # the csv module writing every row itself
         csv.writer(buffer, lineterminator="\n").writerows([header, *picked])
         assert csv_text(header, picked) == buffer.getvalue()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_new_files_follow_the_umask(self, tmp_path, umask, mode):
+        ds = small_dataset()
+        rule_list, diagnostics = small_model(ds)
+        model, table = tmp_path / "model.json", tmp_path / "t.csv"
+        previous = os.umask(umask)
+        try:
+            write_model(model, rule_list, diagnostics, ds, BrlConfig())
+            write_csv(table, ["a"], [[1]])
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(model.stat().st_mode) == mode
+        assert stat.S_IMODE(table.stat().st_mode) == mode
 
     def test_atomic_write_replaces(self, tmp_path):
         path = tmp_path / "x.txt"

@@ -222,7 +222,7 @@ class TestPackedCapture:
         ev = Evaluator(ds, rules, BrlConfig())
         state = np.random.default_rng(n).permutation(len(rules))[:8]
         chosen = [rules[i] for i in state]
-        dense = first_match([rule_mask(r, ds.X) for r in chosen], np.ones(n, dtype=bool))
+        dense = first_match([rule_mask(r.literals, ds.X) for r in chosen], np.ones(n, dtype=bool))
         packed = first_match([ev.packed[i] for i in state], ev.label_rows)
         clause_of = np.array([first_clause(chosen, x) for x in ds.X])
         for j, (rows, words) in enumerate(zip(dense, packed)):

@@ -637,9 +637,7 @@ class TestFeatureTable:
         assert isinstance(table, FeatureTable)
         assert table.n == 3 and table.p == 2
         assert table.schemas[0].categories == ("red", "blue")
-        assert table.attribute_index("size") == 1
-        with pytest.raises(DatasetError):
-            table.attribute_index("nope")
+        assert [s.name for s in table.schemas] == ["color", "size"]
 
     def test_ignores_named_columns(self, tmp_path):
         path = self.write(tmp_path, "color,target\nred,1\nblue,0\n")

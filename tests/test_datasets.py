@@ -130,6 +130,14 @@ class TestHeartLoader:
             load_heart_csv(path)
         assert str(info.value) == f"{path}: byte 0xe9 is not UTF-8; the file must be UTF-8 text"
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_heart_fixture(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_heart_csv(plain), load_heart_csv(marked)
+        assert a.schemas == b.schemas
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
+
     def test_rejects_empty_file(self, tmp_path):
         path = tmp_path / "heart.csv"
         path.write_text("\n")

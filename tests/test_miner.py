@@ -33,7 +33,6 @@ def make_table(score_rows):
     return ScoreTable(
         scores=scores,
         offsets=np.arange(scores.shape[0], dtype=np.int64),
-        n_labels=scores.shape[1],
     )
 
 
@@ -140,7 +139,7 @@ def reference_mine(dataset, model, config):
                     working_mu = max(working_mu, top_scores[0])
                 if pool[rule].score < score_bound(length, working_mu, rho_bar_k):
                     continue
-                parent_mask = rule_mask(rule, dataset.X)
+                parent_mask = rule_mask(rule.literals, dataset.X)
                 held = {lit.attribute for lit in rule.literals}
                 for flat, lit in enumerate(literals):
                     if not defined[flat] or lit.attribute in held:
@@ -451,6 +450,6 @@ class TestRuleMask:
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, sizes=[2, 3], n=25)
         rule = Rule.of([Literal(0, 1), Literal(1, 2)])
-        mask = rule_mask(rule, ds.X)
+        mask = rule_mask(rule.literals, ds.X)
         expected = (ds.X[:, 0] == 1) & (ds.X[:, 1] == 2)
         np.testing.assert_array_equal(mask, expected)
